@@ -1,11 +1,13 @@
 // google-benchmark microbenchmarks of the library's hot kernels: RNG
 // draws, event-queue churn, lattice convolutions, the renewal-function
-// series, the splitting recursions, controller probe steps, and end-to-end
+// series, the busy-period recursion, the splitting recursions, controller probe steps, and end-to-end
 // simulated slots per second.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
+#include "analysis/busy_period.hpp"
+#include "analysis/loss_model.hpp"
 #include "analysis/mg1.hpp"
 #include "analysis/splitting.hpp"
 #include "chan/arrivals.hpp"
@@ -79,6 +81,30 @@ void BM_RenewalFunction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RenewalFunction)->Arg(256)->Arg(1024)->Arg(4096);
+
+void BM_BusyPeriod(benchmark::State& state) {
+  // Args = {lattice stride g of the one-slot work, busy-period length}.
+  // g = 1: the geometric-shifted service of Figure 7's LCFS baseline
+  // (rho' = 0.5, M = 25); g = 10: deterministic(10) at rho = 0.5.
+  tcw::analysis::ProtocolModelConfig cfg;
+  cfg.offered_load = 0.5;
+  cfg.message_length = 25.0;
+  const bool stride_one = state.range(0) == 1;
+  const auto service =
+      stride_one ? tcw::analysis::service_distribution(
+                       cfg, tcw::analysis::optimal_window_load())
+                 : tcw::dist::deterministic(10);
+  const double lambda = stride_one ? cfg.lambda() : 0.05;
+  const auto len = static_cast<std::size_t>(state.range(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        tcw::analysis::busy_period_distribution(service, lambda, len));
+  }
+}
+BENCHMARK(BM_BusyPeriod)
+    ->ArgNames({"g", "len"})
+    ->Args({1, 400})
+    ->Args({10, 2000});
 
 void BM_ImpatientLoss(benchmark::State& state) {
   const auto service = tcw::dist::deterministic(26);

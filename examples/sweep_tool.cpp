@@ -1,9 +1,9 @@
 // General-purpose sweep driver: the experiment tool a downstream user
 // reaches for first. Sweeps the time constraint K for any protocol
 // variant and workload from the command line, prints the loss/delay
-// series, and writes a CSV.
+// series, and writes a CSV. For example (one command line, wrapped):
 //
-//   $ ./sweep_tool --variant controlled --rho 0.6 --m 25 \
+//   $ ./sweep_tool --variant controlled --rho 0.6 --m 25
 //         --k-min 25 --k-max 400 --points 8 --csv out.csv
 //
 // With --suite, all four variants run together as one job graph on a

@@ -2,11 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "analysis/mg1.hpp"
+#include "obs/registry.hpp"
 #include "util/contract.hpp"
 
 namespace tcw::analysis {
+
+namespace {
+
+const obs::Counter& busy_period_steps() {
+  static const obs::Counter counter =
+      obs::Registry::global().counter("analysis.busy_period_steps");
+  return counter;
+}
+
+}  // namespace
 
 dist::Pmf one_slot_work(const dist::Pmf& service, double lambda, double tol) {
   TCW_EXPECTS(lambda > 0.0);
@@ -40,39 +52,60 @@ dist::Pmf busy_period_from_work(const dist::Pmf& initial,
                                 std::size_t max_len) {
   TCW_EXPECTS(max_len >= 2);
   TCW_EXPECTS(initial.total_mass() > 0.0);
+  busy_period_steps().add(max_len - 1);
   const dist::Pmf slot_work = one_slot_work(service, lambda);
-  // Sparse support of the one-slot work: for deterministic-ish services it
-  // is a handful of spikes, which keeps the n^2 recursion fast.
+  // Sparse support of the one-slot work below max_len (larger work never
+  // lands in the table; for deterministic-ish services a handful of
+  // spikes) and its lattice stride g: every A_n lives on multiples of g,
+  // so the recursion runs on the compressed lattice where cell i holds
+  // P(A_n = i*g). The cells it drops are exactly +0.0.
   std::vector<std::pair<std::size_t, double>> support;
-  for (std::size_t j = 0; j < slot_work.size(); ++j) {
-    if (slot_work.at(j) > 1e-15) support.emplace_back(j, slot_work.at(j));
+  std::size_t g = 0;
+  for (std::size_t j = 0; j < slot_work.size() && j < max_len; ++j) {
+    if (slot_work.at(j) > 1e-15) {
+      support.emplace_back(j, slot_work.at(j));
+      g = std::gcd(g, j);
+    }
   }
+  if (g == 0) g = 1;  // all work in the j = 0 atom
+  for (auto& entry : support) entry.first /= g;  // j -> compressed shift
+  const std::size_t cells = (max_len - 1) / g + 1;
+  const std::size_t reach = support.empty() ? 0 : support.back().first;
 
   std::vector<double> out(max_len, 0.0);
   out[0] = initial.at(0);  // no initial work: no busy period
 
-  // arrived[m] = P(A_n = m), updated incrementally in n.
-  std::vector<double> arrived(max_len, 0.0);
+  // arrived[i] = P(A_n = i*g), updated incrementally in n; cells at and
+  // beyond `live` are zero.
+  std::vector<double> arrived(cells, 0.0);
   arrived[0] = 1.0;  // A_0 = 0
-  std::vector<double> next(max_len, 0.0);
+  std::size_t live = 1;
+  std::vector<double> next(cells, 0.0);
   for (std::size_t n = 1; n < max_len; ++n) {
-    // A_n = A_{n-1} + one slot of work.
-    std::fill(next.begin(), next.end(), 0.0);
-    for (std::size_t m = 0; m < max_len; ++m) {
-      const double p = arrived[m];
-      if (p == 0.0) continue;
-      for (const auto& [j, q] : support) {
-        if (m + j >= max_len) break;
-        next[m + j] += p * q;
-      }
+    // A_n = A_{n-1} + one slot of work: one AXPY per support entry, in
+    // descending j so that every cell still adds its terms in ascending
+    // order of the source cell -- the order of the scatter
+    // next[m + j] += arrived[m] * q over ascending m this replaces.
+    const std::size_t next_live = std::min(cells, live + reach);
+    std::fill(next.begin(), next.begin() + next_live, 0.0);
+    for (auto it = support.rbegin(); it != support.rend(); ++it) {
+      const auto [shift, q] = *it;
+      const std::size_t count = std::min(live, cells - shift);
+      double* dst = next.data() + shift;
+      const double* src = arrived.data();
+      for (std::size_t i = 0; i < count; ++i) dst[i] += src[i] * q;
     }
     arrived.swap(next);
-    // Cycle lemma: P(T = n) = sum_j initial[j] (j/n) P(A_n = n - j).
+    live = next_live;
+    // Cycle lemma: P(T = n) = sum_j initial[j] (j/n) P(A_n = n - j); only
+    // the j with n - j on the lattice can contribute.
     double mass = 0.0;
     const std::size_t j_hi = std::min(initial.size() - 1, n);
-    for (std::size_t j = 1; j <= j_hi; ++j) {
+    const std::size_t j_lo = n % g == 0 ? g : n % g;
+    std::size_t cell = (n - j_lo) / g;  // of A_n = n - j
+    for (std::size_t j = j_lo; j <= j_hi; j += g, --cell) {
       mass += initial.at(j) * static_cast<double>(j) /
-              static_cast<double>(n) * arrived[n - j];
+              static_cast<double>(n) * arrived[cell];
     }
     out[n] = mass;
   }

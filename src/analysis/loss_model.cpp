@@ -7,11 +7,18 @@
 #include "analysis/mg1.hpp"
 #include "analysis/splitting.hpp"
 #include "dist/families.hpp"
+#include "obs/registry.hpp"
 #include "util/contract.hpp"
 
 namespace tcw::analysis {
 
 namespace {
+
+const obs::Counter& fixpoint_iters() {
+  static const obs::Counter counter =
+      obs::Registry::global().counter("analysis.fixpoint_iters");
+  return counter;
+}
 
 std::size_t transmission_slots(const ProtocolModelConfig& cfg) {
   const double total = cfg.message_length + cfg.success_overhead;
@@ -74,6 +81,7 @@ ControlledLossPoint controlled_loss_at(const ProtocolModelConfig& cfg,
     converged = std::abs(loss.p_loss - p) < cfg.fixpoint_tol;
     p = 0.5 * p + 0.5 * loss.p_loss;  // damped update
   }
+  fixpoint_iters().add(static_cast<std::uint64_t>(point.iterations));
   point.p_loss = p;
   return point;
 }

@@ -1,13 +1,21 @@
 #include "analysis/mg1.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
+#include "obs/registry.hpp"
 #include "util/contract.hpp"
 
 namespace tcw::analysis {
 
 namespace {
+
+const obs::Counter& renewal_solves() {
+  static const obs::Counter counter =
+      obs::Registry::global().counter("analysis.renewal_solves");
+  return counter;
+}
 
 /// Equilibrium (residual) distribution of an integer-slot service time on
 /// a lattice refined by `c` sub-cells per slot. The continuous residual
@@ -36,6 +44,52 @@ double sum_prefix(const std::vector<double>& v, std::size_t end_inclusive) {
   return acc;
 }
 
+/// Forward substitution of U = delta_0 + rho * (beta conv U) for each of
+/// the N lattice pmfs in `betas`, in one shared k-loop. The N add chains
+/// are independent, so interleaving them overlaps their latencies, while
+/// each u[k] still adds its terms in ascending j.
+template <std::size_t N>
+std::array<std::vector<double>, N> renewal_functions(
+    const std::array<const std::vector<double>*, N>& betas, double rho,
+    std::size_t len) {
+  TCW_EXPECTS(len > 0);
+  TCW_EXPECTS(rho >= 0.0);
+  renewal_solves().add(N);
+  std::array<std::vector<double>, N> u;
+  std::array<const double*, N> b{};
+  std::array<std::size_t, N> b_top{};  // last index of each beta
+  std::array<double, N> denom{};
+  for (std::size_t c = 0; c < N; ++c) {
+    const std::vector<double>& beta = *betas[c];
+    const double b0 = beta.empty() ? 0.0 : beta[0];
+    denom[c] = 1.0 - rho * b0;
+    TCW_EXPECTS(denom[c] > 0.0);
+    u[c].assign(len, 0.0);
+    u[c][0] = 1.0 / denom[c];
+    b[c] = beta.data();
+    b_top[c] = beta.empty() ? 0 : beta.size() - 1;
+  }
+  for (std::size_t k = 1; k < len; ++k) {
+    std::array<double, N> acc{};
+    std::array<std::size_t, N> j_max{};
+    std::size_t j_common = k;
+    for (std::size_t c = 0; c < N; ++c) {
+      j_max[c] = std::min(k, b_top[c]);
+      j_common = std::min(j_common, j_max[c]);
+    }
+    for (std::size_t j = 1; j <= j_common; ++j) {
+      for (std::size_t c = 0; c < N; ++c) acc[c] += b[c][j] * u[c][k - j];
+    }
+    for (std::size_t c = 0; c < N; ++c) {
+      for (std::size_t j = j_common + 1; j <= j_max[c]; ++j) {
+        acc[c] += b[c][j] * u[c][k - j];
+      }
+      u[c][k] = rho * acc[c] / denom[c];
+    }
+  }
+  return u;
+}
+
 }  // namespace
 
 double offered_intensity(const dist::Pmf& service, double lambda) {
@@ -53,22 +107,7 @@ double pk_mean_wait(const dist::Pmf& service, double lambda) {
 
 std::vector<double> renewal_function(const std::vector<double>& beta,
                                      double rho, std::size_t len) {
-  TCW_EXPECTS(len > 0);
-  TCW_EXPECTS(rho >= 0.0);
-  const double b0 = beta.empty() ? 0.0 : beta[0];
-  const double denom = 1.0 - rho * b0;
-  TCW_EXPECTS(denom > 0.0);
-  std::vector<double> u(len, 0.0);
-  u[0] = 1.0 / denom;
-  for (std::size_t k = 1; k < len; ++k) {
-    double acc = 0.0;
-    const std::size_t j_max = std::min(k, beta.size() - 1);
-    for (std::size_t j = 1; j <= j_max; ++j) {
-      acc += beta[j] * u[k - j];
-    }
-    u[k] = rho * acc / denom;
-  }
-  return u;
+  return std::move(renewal_functions<1>({&beta}, rho, len)[0]);
 }
 
 namespace {
@@ -97,10 +136,10 @@ ZBracket z_bracket(const dist::Pmf& service, double lambda, double K,
   // Left placement: sub-cell mass at its left endpoint makes the i-fold
   // sums stochastically smaller, so its CDF -- and hence z -- is an upper
   // bound. Shifting the mass one sub-cell right gives the lower bound.
-  const auto u_left = renewal_function(beta, rho, len);
   std::vector<double> beta_right(beta.size() + 1, 0.0);
   std::copy(beta.begin(), beta.end(), beta_right.begin() + 1);
-  const auto u_right = renewal_function(beta_right, rho, len);
+  const auto [u_left, u_right] =
+      renewal_functions<2>({&beta, &beta_right}, rho, len);
 
   return ZBracket{sum_prefix(u_right, k_sub), sum_prefix(u_left, k_sub)};
 }

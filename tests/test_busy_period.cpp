@@ -9,6 +9,7 @@
 
 #include "analysis/mg1.hpp"
 #include "dist/families.hpp"
+#include "obs/registry.hpp"
 #include "sim/rng.hpp"
 #include "sim/sampling.hpp"
 #include "util/contract.hpp"
@@ -61,6 +62,14 @@ TEST(BusyPeriod, GeometricServiceMeanAlsoMatches) {
   const double lambda = 0.05;  // rho = 0.4
   const auto t = analysis::busy_period_distribution(s, lambda, 4000);
   EXPECT_NEAR(t.mean(), 8.0 / 0.6, 0.05);
+}
+
+TEST(BusyPeriod, StepCounterAddsOnePerLatticeStep) {
+  const tcw::obs::Counter steps =
+      tcw::obs::Registry::global().counter("analysis.busy_period_steps");
+  const std::uint64_t before = steps.value();
+  analysis::busy_period_distribution(dist::deterministic(10), 0.05, 300);
+  EXPECT_EQ(steps.value() - before, 299u);
 }
 
 TEST(BusyPeriod, InitialWorkAtomAtZeroPassesThrough) {

@@ -82,7 +82,9 @@ TEST_P(DistPropertyTest, QuantileIsGeneralizedInverseOfCdf) {
   for (const double q : {0.1, 0.5, 0.9}) {
     const std::size_t k = a.quantile(q);
     EXPECT_GE(a.cdf(k), q - 1e-12);
-    if (k > 0) EXPECT_LT(a.cdf(k - 1), q);
+    if (k > 0) {
+      EXPECT_LT(a.cdf(k - 1), q);
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "analysis/mg1.hpp"
 #include "analysis/splitting.hpp"
+#include "obs/registry.hpp"
 #include "util/contract.hpp"
 
 namespace {
@@ -131,6 +132,25 @@ TEST(ControlledLoss, UnsortedGridRejected) {
   const auto cfg = paper_config(0.5, 25.0);
   EXPECT_THROW(analysis::controlled_loss_curve(cfg, {50.0, 25.0}),
                tcw::ContractViolation);
+}
+
+TEST(ControlledLoss, CountersTrackFixpointAndRenewalSolves) {
+  // Every fixpoint iteration at K > 0 solves the left and the right
+  // renewal bracket once each; the counters move once per call.
+  auto& registry = tcw::obs::Registry::global();
+  const tcw::obs::Counter iters = registry.counter("analysis.fixpoint_iters");
+  const tcw::obs::Counter solves = registry.counter("analysis.renewal_solves");
+  const std::uint64_t iters_before = iters.value();
+  const std::uint64_t solves_before = solves.value();
+  const auto curve = analysis::controlled_loss_curve(
+      paper_config(0.5, 25.0), {12.5, 25.0, 50.0, 100.0});
+  std::uint64_t sum = 0;
+  for (const auto& pt : curve) {
+    sum += static_cast<std::uint64_t>(pt.iterations);
+  }
+  EXPECT_GT(sum, curve.size());
+  EXPECT_EQ(iters.value() - iters_before, sum);
+  EXPECT_EQ(solves.value() - solves_before, 2 * sum);
 }
 
 TEST(FcfsBaseline, WorseThanControlledAtEveryK) {

@@ -80,6 +80,14 @@ TEST(RenewalFunction, GeometricClosedFormForBernoulliBeta) {
   }
 }
 
+TEST(RenewalFunction, EmptyBetaIsDeltaAtZero) {
+  // No beta mass: only the i = 0 term of the series survives.
+  const auto u = analysis::renewal_function({}, 0.7, 6);
+  ASSERT_EQ(u.size(), 6u);
+  EXPECT_EQ(u[0], 1.0);
+  for (std::size_t k = 1; k < u.size(); ++k) EXPECT_EQ(u[k], 0.0);
+}
+
 TEST(WaitingCdf, IncreasesToOne) {
   const auto s = dist::deterministic(8);
   const double lambda = 0.08;  // rho = 0.64

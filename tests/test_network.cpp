@@ -38,7 +38,7 @@ TEST(Network, StationsStayConsistent) {
 }
 
 TEST(Network, ConsistencyHoldsForEveryPolicyShape) {
-  for (const auto policy :
+  for (const auto& policy :
        {ControlPolicy::optimal(80.0, 40.0),
         ControlPolicy::fcfs_baseline(80.0, 40.0),
         ControlPolicy::lcfs_baseline(80.0, 40.0),

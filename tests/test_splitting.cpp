@@ -190,7 +190,9 @@ TEST(ResolvedFraction, BoundsAndLimits) {
   for (std::size_t n = 2; n <= 32; ++n) {
     EXPECT_GT(f[n], 0.0);
     EXPECT_LT(f[n], 1.0);
-    if (n > 2) EXPECT_LT(f[n], f[n - 1]);  // more arrivals resolve less
+    if (n > 2) {
+      EXPECT_LT(f[n], f[n - 1]);  // more arrivals resolve less
+    }
   }
 }
 
