@@ -6,6 +6,9 @@
 // kernel construction itself needs Monte-Carlo estimation per pair.
 // This bench sweeps K and reports model size, wall time for kernel
 // construction and policy iteration, and the resulting optimal policy.
+// It builds one deadline at a time on purpose: the paper's claim is the
+// cost of the model at a given K, so build_ms must time that K alone,
+// not its share of build_window_smdps' one pass over every K.
 #include <chrono>
 #include <cstdio>
 #include <iostream>

@@ -14,8 +14,10 @@
 # a flight-recorder smoke (packet capture + slot series are a strict
 # overlay, thread-count invariant, and distributed merges reproduce the
 # single-process flight report byte for byte), an informational
-# kernel-throughput comparison against the committed baseline, and a
-# BENCH_JSON schema check over the smoke logs.
+# kernel-throughput comparison against the committed baseline, a
+# BENCH_JSON schema check over the smoke logs, and the numeric-kernel
+# tests (SMDP kernel estimation, samplers, analytic golden tables, M/G/1)
+# rebuilt and re-run under AddressSanitizer + UBSan.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -87,4 +89,12 @@ cmake --build build-tsan -j --target test_thread_pool \
     test_flight_recorder test_slot_series
 (cd build-tsan && ctest --output-on-failure \
     -R 'ThreadPool|ParallelFor|ResolveThreads|SweepDeterminism|SweepTiming|SweepScheduler|SweepTrace|FlatDeque|NetworkKernel|AggregateKernel|KernelWarmupEdge|EventSkip|ProtocolEngine|MultiChannel|PolicyGrid|ShardCache|StudyCache|StudyRunner|StudyRegistry|StudyTrace|Obs|DistLease|DistGate|SharedStore|DistExec|FlightRecorder|SlotSeries|BoundedRing|TraceLog')
+echo "== tier-1: numeric kernel tests under AddressSanitizer + UBSan =="
+asan_tests="test_window_model test_window_model_golden test_smdp \
+    test_sampling test_analytic_golden test_mg1"
+cmake -B build-asan -S . -DTCW_SANITIZE=address,undefined >/dev/null
+cmake --build build-asan -j --target $asan_tests
+for t in $asan_tests; do
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 "build-asan/tests/$t"
+done
 echo "tier-1 OK"

@@ -45,23 +45,35 @@ std::uint64_t geometric1(Rng& rng, double p) {
   return k < 1.0 ? 1 : static_cast<std::uint64_t>(k);
 }
 
-std::uint64_t poisson(Rng& rng, double mu) {
-  TCW_EXPECTS(mu >= 0.0);
-  if (mu == 0.0) return 0;
-  if (mu < 30.0) {
+PoissonSampler::PoissonSampler(double mu) {
+  TCW_EXPECTS(std::isfinite(mu) && mu >= 0.0);
+  if (mu == 0.0) return;
+  // Split large means: Poisson(mu) = Poisson(mu/2) + Poisson(mu/2), halved
+  // until every leaf mean is below 30.
+  double leaf = mu;
+  leaves_ = 1;
+  while (leaf >= 30.0) {
+    TCW_EXPECTS(leaves_ < (std::uint64_t{1} << 63));
+    leaf /= 2.0;
+    leaves_ *= 2;
+  }
+  limit_ = std::exp(-leaf);
+}
+
+std::uint64_t PoissonSampler::operator()(Rng& rng) const {
+  std::uint64_t n = 0;
+  for (std::uint64_t leaf = 0; leaf < leaves_; ++leaf) {
     // Knuth multiplication method.
-    const double limit = std::exp(-mu);
     double prod = uniform01(rng);
-    std::uint64_t n = 0;
-    while (prod > limit) {
+    while (prod > limit_) {
       prod *= uniform01(rng);
       ++n;
     }
-    return n;
   }
-  // Split large means: Poisson(mu) = Poisson(mu/2) + Poisson(mu/2).
-  return poisson(rng, mu / 2.0) + poisson(rng, mu / 2.0);
+  return n;
 }
+
+std::uint64_t poisson(Rng& rng, double mu) { return PoissonSampler(mu)(rng); }
 
 std::uint64_t binomial(Rng& rng, std::uint64_t n, double p) {
   TCW_EXPECTS(p >= 0.0 && p <= 1.0);

@@ -28,9 +28,22 @@ bool bernoulli(Rng& rng, double p);
 /// Geometric on {1, 2, 3, ...} with success probability p: P(X=k) = (1-p)^(k-1) p.
 std::uint64_t geometric1(Rng& rng, double p);
 
-/// Poisson with mean `mu` (Knuth for small mu, PTRD-free normal-free
-/// inversion-by-search fallback using exponential gaps for large mu).
+/// Poisson with mean `mu` (finite, >= 0): Knuth's multiplication method,
+/// with means of 30 and above split into equal halves until each leaf is
+/// below 30.
 std::uint64_t poisson(Rng& rng, double mu);
+
+/// poisson() for many draws at one mean: exp(-mean) is computed once, at
+/// construction, instead of per draw. Same draws, same values.
+class PoissonSampler {
+ public:
+  explicit PoissonSampler(double mu);
+  std::uint64_t operator()(Rng& rng) const;
+
+ private:
+  double limit_ = 1.0;        // exp(-leaf mean)
+  std::uint64_t leaves_ = 0;  // Poisson(mu) = sum of this many leaf draws
+};
 
 /// Binomial(n, p) by direct Bernoulli summation (n is small in this library).
 std::uint64_t binomial(Rng& rng, std::uint64_t n, double p);

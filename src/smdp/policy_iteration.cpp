@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "linalg/lu.hpp"
+#include "obs/registry.hpp"
 #include "util/contract.hpp"
 
 namespace tcw::smdp {
@@ -36,6 +37,12 @@ std::optional<Evaluation> evaluate_policy(const Smdp& model,
 }
 
 namespace {
+
+const obs::Counter& policy_rounds_counter() {
+  static const obs::Counter counter =
+      obs::Registry::global().counter("smdp.policy_rounds");
+  return counter;
+}
 
 /// Appendix A test quantity gamma_i^k, written for cost minimization:
 /// smaller is better.
@@ -84,10 +91,11 @@ IterationStats policy_iteration(const Smdp& model,
     }
     if (!improved) {
       stats.converged = true;
-      return stats;
+      break;
     }
     stats.policy = next;
   }
+  policy_rounds_counter().add(static_cast<std::uint64_t>(stats.iterations));
   return stats;
 }
 

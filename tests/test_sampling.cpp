@@ -144,6 +144,26 @@ TEST(Poisson, ZeroMeanIsZero) {
   EXPECT_EQ(tcw::sim::poisson(rng, 0.0), 0u);
 }
 
+TEST(Poisson, NonFiniteOrNegativeMeanRejected) {
+  Rng rng(14);
+  for (const double mu : {std::nan(""), HUGE_VAL, -HUGE_VAL, -1.0}) {
+    EXPECT_THROW(tcw::sim::poisson(rng, mu), tcw::ContractViolation) << mu;
+    EXPECT_THROW(tcw::sim::PoissonSampler{mu}, tcw::ContractViolation) << mu;
+  }
+}
+
+TEST(Poisson, SamplerDrawsTheSameStreamAsPoisson) {
+  for (const double mu : {0.0, 0.7, 4.5, 29.99, 30.0, 95.0}) {
+    Rng a(21);
+    Rng b(21);
+    const tcw::sim::PoissonSampler sampler(mu);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(sampler(a), tcw::sim::poisson(b, mu)) << mu;
+    }
+    EXPECT_EQ(a(), b()) << mu;
+  }
+}
+
 TEST(Binomial, MeanAndVariance) {
   Rng rng(15);
   tcw::sim::RunningStats s;

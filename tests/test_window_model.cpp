@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "obs/registry.hpp"
 #include "smdp/value_iteration.hpp"
 #include "util/contract.hpp"
 
@@ -130,6 +135,55 @@ TEST(WindowSmdp, InvalidConfigurationRejected) {
   cfg = small_config();
   cfg.deadline = 0;
   EXPECT_THROW(smdp::build_window_smdp(cfg), tcw::ContractViolation);
+}
+
+TEST(WindowSmdp, NonFiniteOrNegativeLambdaRejected) {
+  const std::vector<std::size_t> deadlines = {8, 12};
+  for (const double lambda : {std::nan(""), HUGE_VAL, -HUGE_VAL, -0.1}) {
+    auto cfg = small_config();
+    cfg.lambda = lambda;
+    EXPECT_THROW(smdp::build_window_smdp(cfg), tcw::ContractViolation)
+        << lambda;
+    EXPECT_THROW(smdp::build_window_smdps(cfg, deadlines),
+                 tcw::ContractViolation)
+        << lambda;
+    EXPECT_THROW(smdp::solve_window_models(cfg, deadlines),
+                 tcw::ContractViolation)
+        << lambda;
+  }
+}
+
+TEST(WindowSmdp, InvalidDeadlineListRejected) {
+  const auto cfg = small_config();
+  EXPECT_THROW(smdp::build_window_smdps(cfg, {}), tcw::ContractViolation);
+  const std::vector<std::size_t> with_zero = {8, 0, 12};
+  EXPECT_THROW(smdp::build_window_smdps(cfg, with_zero),
+               tcw::ContractViolation);
+}
+
+TEST(WindowSmdp, CountersAddOncePerPass) {
+  // One pass over deadlines {8, 12} with widths capped at 5 estimates
+  // every (i, w) pair up to the largest deadline once:
+  // sum_{i=1}^{12} min(i, 5) = 1+2+3+4+5 + 7*5 = 50 pairs.
+  auto& registry = tcw::obs::Registry::global();
+  const tcw::obs::Counter pairs = registry.counter("smdp.kernel_pairs");
+  const tcw::obs::Counter samples = registry.counter("smdp.mc_samples");
+  const tcw::obs::Counter rounds = registry.counter("smdp.policy_rounds");
+  const std::uint64_t pairs_before = pairs.value();
+  const std::uint64_t samples_before = samples.value();
+  const std::uint64_t rounds_before = rounds.value();
+  auto cfg = small_config();
+  cfg.max_window = 5;
+  const std::vector<std::size_t> deadlines = {12, 8};
+  const auto solved = smdp::solve_window_models(cfg, deadlines);
+  EXPECT_EQ(pairs.value() - pairs_before, 50u);
+  EXPECT_EQ(samples.value() - samples_before, 50u * cfg.mc_samples);
+  std::uint64_t sum = 0;
+  for (const auto& r : solved) {
+    sum += static_cast<std::uint64_t>(r.stats.iterations);
+  }
+  EXPECT_GT(sum, 0u);
+  EXPECT_EQ(rounds.value() - rounds_before, sum);
 }
 
 }  // namespace
