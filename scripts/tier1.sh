@@ -17,7 +17,9 @@
 # kernel-throughput comparison against the committed baseline, a
 # BENCH_JSON schema check over the smoke logs, and the numeric-kernel
 # tests (SMDP kernel estimation, samplers, analytic golden tables, M/G/1)
-# rebuilt and re-run under AddressSanitizer + UBSan.
+# and the finite-station kernel tests (network, its golden table,
+# multichannel, event-skip, fast path) rebuilt and re-run under
+# AddressSanitizer + UBSan.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -86,12 +88,14 @@ cmake --build build-tsan -j --target test_thread_pool \
     test_sweep_determinism test_sweep_scheduler test_flat_deque \
     test_kernel_fastpath test_event_skip test_protocol_engines \
     test_multichannel test_shard_cache test_study test_obs test_dist_exec \
-    test_flight_recorder test_slot_series
+    test_flight_recorder test_slot_series test_network_golden
 (cd build-tsan && ctest --output-on-failure \
-    -R 'ThreadPool|ParallelFor|ResolveThreads|SweepDeterminism|SweepTiming|SweepScheduler|SweepTrace|FlatDeque|NetworkKernel|AggregateKernel|KernelWarmupEdge|EventSkip|ProtocolEngine|MultiChannel|PolicyGrid|ShardCache|StudyCache|StudyRunner|StudyRegistry|StudyTrace|Obs|DistLease|DistGate|SharedStore|DistExec|FlightRecorder|SlotSeries|BoundedRing|TraceLog')
-echo "== tier-1: numeric kernel tests under AddressSanitizer + UBSan =="
+    -R 'ThreadPool|ParallelFor|ResolveThreads|SweepDeterminism|SweepTiming|SweepScheduler|SweepTrace|FlatDeque|NetworkKernel|AggregateKernel|KernelWarmupEdge|EventSkip|ProtocolEngine|MultiChannel|PolicyGrid|ShardCache|StudyCache|StudyRunner|StudyRegistry|StudyTrace|Obs|DistLease|DistGate|SharedStore|DistExec|FlightRecorder|SlotSeries|BoundedRing|TraceLog|NetworkGolden')
+echo "== tier-1: numeric + network kernel tests under AddressSanitizer + UBSan =="
 asan_tests="test_window_model test_window_model_golden test_smdp \
-    test_sampling test_analytic_golden test_mg1"
+    test_sampling test_analytic_golden test_mg1 test_network \
+    test_network_golden test_multichannel test_event_skip \
+    test_kernel_fastpath"
 cmake -B build-asan -S . -DTCW_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j --target $asan_tests
 for t in $asan_tests; do

@@ -1,6 +1,7 @@
 #include "net/aggregate_sim.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "obs/registry.hpp"
 #include "sim/sampling.hpp"
@@ -42,8 +43,16 @@ AggregateSimulator::AggregateSimulator(
     std::unique_ptr<chan::ArrivalProcess> arrivals)
     : config_(config), arrivals_(std::move(arrivals)), rng_(config.seed) {
   TCW_EXPECTS(arrivals_ != nullptr);
+  // A non-finite t_end never ends the slot loop; a non-finite message
+  // length, overhead or jitter turns the clock into NaN/inf and silently
+  // truncates the run.
+  TCW_EXPECTS(std::isfinite(config_.t_end));
   TCW_EXPECTS(config_.t_end > config_.warmup);
+  TCW_EXPECTS(std::isfinite(config_.message_length));
   TCW_EXPECTS(config_.message_length >= 1.0);
+  TCW_EXPECTS(std::isfinite(config_.success_overhead));
+  TCW_EXPECTS(config_.success_overhead >= 0.0);
+  TCW_EXPECTS(std::isfinite(config_.slot_jitter));
   TCW_EXPECTS(config_.slot_jitter >= 0.0);
   const ChannelPlan& plan = config_.mac.channel;
   TCW_EXPECTS(plan.channels >= 1);
@@ -127,12 +136,6 @@ void AggregateSimulator::generate_arrivals_until(double t) {
     TCW_ASSERT(nxt > next_arrival_);
     next_arrival_ = nxt;
   }
-}
-
-const core::WindowController& AggregateSimulator::controller() const {
-  const core::WindowController* ctl = lanes_[0].engine->window_controller();
-  TCW_EXPECTS(ctl != nullptr);  // only the window engine has a controller
-  return *ctl;
 }
 
 double AggregateSimulator::now() const {

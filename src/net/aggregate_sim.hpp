@@ -88,10 +88,6 @@ class AggregateSimulator {
   const SimMetrics& run();
 
   const SimMetrics& metrics() const { return metrics_; }
-  /// The window controller behind the lane-0 engine. Contract violation
-  /// for non-window engines (they have no controller to expose); callers
-  /// that handle every engine should go through `engine()` instead.
-  const core::WindowController& controller() const;
   const ProtocolEngine& engine() const { return *lanes_[0].engine; }
   /// The furthest lane clock (== the clock with one channel).
   double now() const;

@@ -497,79 +497,6 @@ ScheduledSweep run_sweep(const SweepRequest& request,
   return ScheduledSweep(std::move(state));
 }
 
-// Deprecated shims: each is a pure re-spelling of its historical
-// signature onto run_sweep. They carry no logic of their own, which is
-// what tests/test_experiment.cpp's bit-compare relies on.
-ScheduledSweep schedule_loss_curve_custom(
-    exec::SweepScheduler& scheduler, std::string name,
-    const SweepConfig& config,
-    const std::function<core::ControlPolicy(double)>& make_policy,
-    const std::vector<double>& constraints) {
-  SweepRequest request;
-  request.config = config;
-  request.constraints = constraints;
-  request.make_policy = make_policy;
-  SweepBindings bindings;
-  bindings.scheduler = &scheduler;
-  bindings.name = std::move(name);
-  return run_sweep(request, bindings);
-}
-
-ScheduledSweep schedule_loss_curve_cached(
-    exec::SweepScheduler& scheduler, std::string name,
-    const SweepConfig& config,
-    const std::function<core::ControlPolicy(double)>& make_policy,
-    const std::vector<double>& constraints,
-    const SweepCacheBinding& binding) {
-  SweepRequest request;
-  request.config = config;
-  request.constraints = constraints;
-  request.make_policy = make_policy;
-  SweepBindings bindings;
-  bindings.scheduler = &scheduler;
-  bindings.name = std::move(name);
-  bindings.cache = binding;
-  return run_sweep(request, bindings);
-}
-
-ScheduledSweep schedule_loss_curve(exec::SweepScheduler& scheduler,
-                                   std::string name,
-                                   const SweepConfig& config,
-                                   ProtocolVariant variant,
-                                   const std::vector<double>& constraints) {
-  SweepRequest request;
-  request.config = config;
-  request.constraints = constraints;
-  request.variant = variant;
-  SweepBindings bindings;
-  bindings.scheduler = &scheduler;
-  bindings.name = std::move(name);
-  return run_sweep(request, bindings);
-}
-
-std::vector<SweepPoint> simulate_loss_curve_custom(
-    const SweepConfig& config,
-    const std::function<core::ControlPolicy(double)>& make_policy,
-    const std::vector<double>& constraints, SweepTiming* timing) {
-  SweepRequest request;
-  request.config = config;
-  request.constraints = constraints;
-  request.make_policy = make_policy;
-  request.timing = timing;
-  return run_sweep(request).points();
-}
-
-std::vector<SweepPoint> simulate_loss_curve(
-    const SweepConfig& config, ProtocolVariant variant,
-    const std::vector<double>& constraints, SweepTiming* timing) {
-  SweepRequest request;
-  request.config = config;
-  request.constraints = constraints;
-  request.variant = variant;
-  request.timing = timing;
-  return run_sweep(request).points();
-}
-
 std::vector<double> linear_grid(double lo, double hi, std::size_t n) {
   TCW_EXPECTS(n >= 2);
   TCW_EXPECTS(hi >= lo);

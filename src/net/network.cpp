@@ -57,16 +57,23 @@ std::uint64_t batched_arrival_seed(std::uint64_t sim_seed) {
 
 Network::Network(const NetworkConfig& config)
     : config_(config),
-      rng_(config.seed),
-      coin_rng_(engine_coin_seed(config.mac.engine.kind, config.seed)) {
+      rng_(config.seed) {
+  // A non-finite t_end never ends the slot loop; a non-finite message
+  // length or overhead turns the clock into NaN/inf after the first
+  // success and silently truncates the run.
+  TCW_EXPECTS(std::isfinite(config_.t_end));
   TCW_EXPECTS(config_.t_end > config_.warmup);
+  TCW_EXPECTS(std::isfinite(config_.message_length));
   TCW_EXPECTS(config_.message_length >= 1.0);
+  TCW_EXPECTS(std::isfinite(config_.success_overhead));
+  TCW_EXPECTS(config_.success_overhead >= 0.0);
   const ChannelPlan& plan = config_.mac.channel;
   TCW_EXPECTS(plan.channels >= 1);
   TCW_EXPECTS(plan.skew >= 0.0 && plan.skew < 1.0);
   // Trace records carry no channel field; tracing is a single-channel
   // debugging surface.
   TCW_EXPECTS(config_.trace == nullptr || plan.channels == 1);
+  lanes_.resize(plan.channels);
 }
 
 void Network::add_station(std::unique_ptr<chan::ArrivalProcess> arrivals) {
@@ -77,6 +84,7 @@ void Network::add_station(std::unique_ptr<chan::ArrivalProcess> arrivals) {
   st.arrivals = std::move(arrivals);
   st.next_arrival = st.arrivals->next(rng_);
   stations_.push_back(std::move(st));
+  for (Lane& lane : lanes_) lane.stations.emplace_back();
 }
 
 Network Network::homogeneous_poisson(const NetworkConfig& config,
@@ -109,11 +117,12 @@ Network Network::homogeneous_poisson_batched(const NetworkConfig& config,
     net.stations_[i].id = static_cast<chan::StationId>(i);
     net.stations_[i].next_arrival = std::numeric_limits<double>::infinity();
   }
+  for (Lane& lane : net.lanes_) lane.stations.resize(n_stations);
   return net;
 }
 
 std::size_t Network::controller_replicas() const {
-  if (!engines_.empty()) return engines_.size();
+  if (!lanes_[0].engines.empty()) return lanes_[0].engines.size();
   // The canonical replica always exists: every clamp below bottoms out at
   // one replica, so 0- and 1-station configurations (where "stations - 1"
   // leaves no room for shadows) still resolve sanely.
@@ -126,38 +135,49 @@ std::size_t Network::controller_replicas() const {
   return 1 + shadows;
 }
 
-void Network::build_engines() {
+void Network::build_lanes() {
+  const ChannelPlan& plan = config_.mac.channel;
   const std::size_t replicas = controller_replicas();
-  engines_.reserve(replicas);
-  for (std::size_t i = 0; i < replicas; ++i) {
-    engines_.push_back(make_engine(config_.mac.engine, config_.policy));
+  const std::uint64_t coin_base =
+      engine_coin_seed(config_.mac.engine.kind, config_.seed);
+  for (std::uint32_t c = 0; c < plan.channels; ++c) {
+    // Lane 0 runs on the raw seeds (channel_stream_seed is the identity
+    // for channel 0); lanes c > 0 get derived, non-aliasing streams.
+    Lane& lane = lanes_[c];
+    core::ControlPolicy lane_policy = config_.policy;
+    lane_policy.shared_seed =
+        channel_stream_seed(config_.policy.shared_seed, c);
+    lane.engines.reserve(replicas);
+    for (std::size_t i = 0; i < replicas; ++i) {
+      lane.engines.push_back(make_engine(config_.mac.engine, lane_policy));
+    }
+    lane.coin_rng = sim::Rng(channel_stream_seed(coin_base, c));
+  }
+  if (plan.channels > 1) {
+    selector_.emplace(plan, config_.seed);
+    lane_now_scratch_.resize(plan.channels);
+    lane_busy_scratch_.resize(plan.channels);
+    lane_load_scratch_.resize(plan.channels);
   }
 }
 
 std::uint64_t Network::probe_steps() const {
-  if (mc_lanes_.empty()) return probe_steps_;
   std::uint64_t total = 0;
-  for (const McLane& lane : mc_lanes_) total += lane.tally.probe_slots;
+  for (const Lane& lane : lanes_) total += lane.tally.probe_slots;
   return total;
+}
+
+bool Network::stations_consistent() const {
+  for (const Lane& lane : lanes_) {
+    if (!lane.consistent) return false;
+  }
+  return true;
 }
 
 std::vector<obs::ChannelTally> Network::channel_tallies() const {
   std::vector<obs::ChannelTally> tallies;
-  if (mc_lanes_.empty()) {
-    obs::ChannelTally tally;
-    tally.probe_slots = probe_steps_;
-    tally.idle_slots = obs_idle_;
-    tally.collisions = obs_collisions_;
-    tally.successes = obs_successes_;
-    tally.sender_discards = obs_discards_;
-    tally.admission_starved = obs_admission_starved_;
-    tally.collision_killed = obs_collision_killed_;
-    tally.queue_expired = obs_queue_expired_;
-    tallies.push_back(tally);
-    return tallies;
-  }
-  tallies.reserve(mc_lanes_.size());
-  for (const McLane& lane : mc_lanes_) tallies.push_back(lane.tally);
+  tallies.reserve(lanes_.size());
+  for (const Lane& lane : lanes_) tallies.push_back(lane.tally);
   return tallies;
 }
 
@@ -167,18 +187,20 @@ void Network::desync_replica_for_test(std::size_t replica) {
   desync_replica_ = replica;
 }
 
-void Network::activate(Station& st) {
+void Network::activate(Lane& lane, std::uint32_t station) {
+  LaneStation& st = lane.stations[station];
   if (st.active_pos >= 0) return;
-  st.active_pos = static_cast<std::ptrdiff_t>(active_.size());
-  active_.push_back(st.id);
+  st.active_pos = static_cast<std::ptrdiff_t>(lane.active.size());
+  lane.active.push_back(station);
 }
 
-void Network::deactivate(Station& st) {
+void Network::deactivate(Lane& lane, LaneStation& st) {
   if (st.active_pos < 0) return;
   const auto pos = static_cast<std::size_t>(st.active_pos);
-  active_[pos] = active_.back();
-  stations_[active_[pos]].active_pos = static_cast<std::ptrdiff_t>(pos);
-  active_.pop_back();
+  lane.active[pos] = lane.active.back();
+  lane.stations[lane.active[pos]].active_pos =
+      static_cast<std::ptrdiff_t>(pos);
+  lane.active.pop_back();
   st.active_pos = -1;
 }
 
@@ -202,551 +224,23 @@ double Network::next_batched_arrival() {
   return batched_block_[batched_pos_].time;
 }
 
-void Network::generate_arrivals_until(double t) {
-  const auto observe_arrival = [&](const chan::Message& msg) {
-    if (config_.capture.series != nullptr) {
-      config_.capture.series->add_arrival(msg.arrival,
-                                          config_.policy.deadline);
+void Network::route_message(chan::Message msg) {
+  std::uint32_t c = 0;
+  if (selector_) {
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      lane_now_scratch_[i] = lanes_[i].now;
+      lane_busy_scratch_[i] = lanes_[i].last_tx_end;
+      lane_load_scratch_[i] = lanes_[i].pending;
     }
-    if (config_.capture.flight != nullptr &&
-        config_.capture.flight->sampled(msg.arrival, 0)) {
-      config_.capture.flight->record(msg.arrival,
-                                     obs::FlightEventKind::kArrival,
-                                     msg.arrival, config_.policy.deadline, 0);
-    }
-  };
-  if (batched_rate_ > 0.0) {
-    while (next_batched_arrival() <= t) {
-      const BatchedArrival a = batched_block_[batched_pos_++];
-      Station& st = stations_[a.station];
-      chan::Message msg = chan::Message::make(next_msg_id_++, st.id, a.time,
-                                              config_.message_length);
-      st.queue.push_back(msg);
-      activate(st);
-      observe_arrival(msg);
-      if (msg.arrival >= config_.warmup) ++metrics_.arrivals;
-    }
-    return;
+    c = selector_->route(msg.arrival, lane_now_scratch_.data(),
+                         lane_busy_scratch_.data(), lane_load_scratch_.data(),
+                         config_.message_length + config_.success_overhead);
   }
-  for (Station& st : stations_) {
-    while (st.next_arrival <= t) {
-      chan::Message msg = chan::Message::make(
-          next_msg_id_++, st.id, st.next_arrival, config_.message_length);
-      st.queue.push_back(msg);
-      activate(st);
-      observe_arrival(msg);
-      if (msg.arrival >= config_.warmup) ++metrics_.arrivals;
-      st.next_arrival = st.arrivals->next(rng_);
-    }
-  }
-}
-
-void Network::purge_expired() {
-  if (!config_.policy.discard) return;
-  const double cutoff = now_ - config_.policy.deadline;
-  const bool windowed_engine = config_.mac.engine.kind == EngineKind::Window;
-  const auto expired = [&](const chan::Message& msg) {
-    if (msg.arrival >= cutoff) return false;
-    ++obs_discards_;
-    // Attribution (see the member doc): the eligibility key is the
-    // CURRENT window stamp -- restamped messages are judged by the spans
-    // their restamp was probed into, exactly what admission saw.
-    if (windowed_engine) {
-      if (collided_spans_.contains(msg.window_stamp)) {
-        ++obs_collision_killed_;
-      } else {
-        ++obs_admission_starved_;
-      }
-    } else if (collided_ids_.erase(msg.id) > 0) {
-      ++obs_collision_killed_;
-    } else {
-      ++obs_queue_expired_;
-    }
-    if (msg.arrival >= config_.warmup) ++metrics_.lost_sender;
-    if (config_.capture.series != nullptr) {
-      config_.capture.series->add_discard(now_);
-    }
-    if (config_.capture.flight != nullptr &&
-        config_.capture.flight->sampled(msg.arrival, 0)) {
-      config_.capture.flight->record(
-          now_, obs::FlightEventKind::kExpiry, msg.arrival,
-          config_.policy.deadline - (now_ - msg.arrival), 0);
-    }
-    if (config_.trace != nullptr) {
-      config_.trace->record(now_, sim::TraceKind::SenderDiscard,
-                            msg.arrival);
-    }
-    return true;
-  };
-  // Live stamps never drop below the cutoff (stamps only grow from the
-  // arrival), so collided spans below it are dead weight -- prune them.
-  collided_spans_.erase_below(cutoff);
-  if (config_.reference_kernel) {
-    // Seed-era path: per-element deque erase, quadratic in the purged run.
-    for (Station& st : stations_) {
-      for (auto it = st.queue.begin(); it != st.queue.end();) {
-        if (expired(*it)) {
-          it = st.queue.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    return;
-  }
-  if (config_.event_skip) {
-    // O(active) sweep: only stations in the active index can hold
-    // messages. Visit order differs from station order, but the purge
-    // only bumps integer tallies (lost_sender, obs_discards_), which
-    // commute; traces are excluded from event-skip mode for this reason.
-    for (std::size_t i = 0; i < active_.size();) {
-      Station& st = stations_[active_[i]];
-      st.queue.erase(
-          std::remove_if(st.queue.begin(), st.queue.end(), expired),
-          st.queue.end());
-      if (st.queue.empty()) {
-        deactivate(st);  // swaps another id into slot i; revisit it
-      } else {
-        ++i;
-      }
-    }
-    return;
-  }
-  // One stable sweep per station; station (= trace) order as before.
-  for (Station& st : stations_) {
-    if (st.queue.empty()) continue;
-    st.queue.erase(
-        std::remove_if(st.queue.begin(), st.queue.end(), expired),
-        st.queue.end());
-    if (st.queue.empty()) deactivate(st);
-  }
-}
-
-std::ptrdiff_t Network::eligible_index(const Station& st, double lo,
-                                       double hi) {
-  return eligible_index_q(st.queue, lo, hi);
-}
-
-std::ptrdiff_t Network::eligible_index_q(const std::deque<chan::Message>& q,
-                                         double lo, double hi) {
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    const double stamp = q[i].window_stamp;
-    if (stamp >= hi) break;  // queue is sorted by stamp
-    if (stamp >= lo) return static_cast<std::ptrdiff_t>(i);
-  }
-  return -1;
-}
-
-void Network::restamp_stranded(Station& st, double lo, double hi) {
-  // Re-stamp any other messages of this station stranded inside the
-  // window that is about to be resolved (see header). Restamps exceed
-  // `now` and every other stamp is <= now, so in the (stamp-sorted) queue
-  // the stranded run is contiguous and its final home is the back: an
-  // O(moved) rotate replaces the seed-era full std::sort.
-  double restamp = now_;
-  std::size_t first = st.queue.size();
-  std::size_t last = 0;
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < st.queue.size(); ++i) {
-    chan::Message& pending = st.queue[i];
-    if (pending.window_stamp >= lo && pending.window_stamp < hi) {
-      restamp += 1e-7;
-      pending.window_stamp = restamp;
-      first = std::min(first, i);
-      last = i;
-      ++count;
-    }
-  }
-  if (count == 0) return;
-  obs_restamps_ += count;
-  if (count == last - first + 1) {
-    std::rotate(st.queue.begin() + static_cast<std::ptrdiff_t>(first),
-                st.queue.begin() + static_cast<std::ptrdiff_t>(last + 1),
-                st.queue.end());
-  } else {
-    // Unreachable while the sorted-by-stamp invariant holds; keep the
-    // seed-era sort as the safety net.
-    std::sort(st.queue.begin(), st.queue.end(),
-              [](const chan::Message& a, const chan::Message& b) {
-                return a.window_stamp < b.window_stamp;
-              });
-  }
-}
-
-void Network::check_consistency() {
-  ++checks_run_;
-  for (std::size_t i = 1; i < engines_.size(); ++i) {
-    if (!engines_[0]->state_equals(*engines_[i])) {
-      consistent_ = false;
-      return;
-    }
-  }
-}
-
-bool Network::try_skip_quiescent() {
-  // Certificates need exact +1 slot arithmetic; a fractional clock (odd
-  // message lengths) falls back to per-slot stepping.
-  if (now_ != std::floor(now_)) return false;
-  // Slot t is arrival-free iff t < next_arrival, and simulated iff
-  // t < t_end; the skippable span is every slot before the earlier one.
-  const double horizon = std::min(next_batched_arrival(), config_.t_end);
-  if (horizon <= now_) return false;
-  const auto max_slots = static_cast<std::uint64_t>(
-      std::ceil(std::min(horizon - now_, 1e15)));
-  if (max_slots == 0) return false;
-  const QuiescentStretch stretch =
-      engines_[0]->quiescent_until(now_, max_slots);
-  if (stretch.slots == 0) return false;
-  // Every replica must issue the identical certificate; otherwise step
-  // per-slot, where the audit machinery judges divergence for real.
-  for (std::size_t i = 1; i < engines_.size(); ++i) {
-    if (!(engines_[i]->quiescent_until(now_, max_slots) == stretch)) {
-      return false;
-    }
-  }
-  // A captured series sees the stretch as its closed-form synthesis:
-  // add_idle_run is bit-identical to the per-slot path's stretch.slots
-  // consecutive add_idle calls at the certified constant backlog (the
-  // per-slot path samples backlog_metric, which the certificate pins to
-  // stretch.backlog on every skipped slot).
-  if (config_.capture.series != nullptr) {
-    config_.capture.series->add_idle_run(now_, stretch.slots,
-                                         stretch.backlog);
-  }
-  // Replay the per-slot metric pattern of the stretch exactly: the
-  // accumulators are Welford streams, so each slot's contribution is
-  // applied in sequence (no closed form is bit-identical). This loop is a
-  // few flops per slot with no station, engine, or RNG work -- the whole
-  // point of the certificate.
-  double t = now_;
-  for (std::uint64_t i = 0; i < stretch.slots; ++i, t += 1.0) {
-    ++probe_steps_;
-    ++obs_idle_;
-    metrics_.usage.add_idle_slot();
-    if (t >= config_.warmup) {
-      metrics_.pseudo_backlog.add(stretch.backlog);
-      metrics_.process_slots.add(1.0);
-    }
-    if (config_.consistency_check_every != 0 &&
-        probe_steps_ % config_.consistency_check_every == 0) {
-      // Replicas are untouched during the replay, and honest replicas are
-      // bit-identical at every step, so comparing the pre-skip states at
-      // the due cadence reproduces the per-slot path's verdict and count.
-      check_consistency();
-    }
-  }
-  for (auto& engine : engines_) engine->skip_quiescent(t - 1.0, stretch.slots);
-  skipped_slots_ += stretch.slots;
-  now_ = t;
-  return true;
-}
-
-const SimMetrics& Network::run() {
-  TCW_EXPECTS(!finished_);
-  TCW_EXPECTS(!stations_.empty());
-  if (config_.mac.channel.channels > 1) return run_multichannel();
-  if (config_.event_skip) {
-    // The skip certificates only hold on the schedule-independent batched
-    // stream, produce no per-slot trace events, and canonicalize replica
-    // state (so a desync injection must be audited per-slot).
-    TCW_EXPECTS(batched_rate_ > 0.0);
-    TCW_EXPECTS(!config_.reference_kernel);
-    TCW_EXPECTS(config_.trace == nullptr);
-    TCW_EXPECTS(desync_replica_ == SIZE_MAX);
-  }
-  const double k = config_.policy.deadline;
-  const bool reference = config_.reference_kernel;
-  obs::SlotSeries* const series = config_.capture.series;
-  obs::FlightRecorder::Segment* const flight = config_.capture.flight;
-  // The series' backlog track samples the engine's backlog estimate: the
-  // same quantity the event-skip certificates pin, so per-slot and
-  // event-skip runs produce byte-identical series.
-  const auto backlog_now = [&] {
-    return engines_[0]->backlog_metric(now_);
-  };
-
-  build_engines();
-  if (desync_replica_ != SIZE_MAX) {
-    TCW_EXPECTS(engines_.size() >= 2);  // see desync_replica_for_test
-    TCW_EXPECTS(desync_replica_ < engines_.size());
-    // One out-of-band probe round nobody else sees: the replica resolves
-    // an interval (or, for ALOHA engines, consumes a feedback) the rest
-    // of the network never observed.
-    ProtocolEngine& rogue = *engines_[desync_replica_];
-    if (rogue.next_slot(1.0).probes()) rogue.on_feedback(core::Feedback::Idle);
-  }
-
-  while (now_ < config_.t_end) {
-    generate_arrivals_until(now_);
-    if (config_.event_skip && active_.empty() && consistent_ &&
-        try_skip_quiescent()) {
-      continue;
-    }
-    const bool was_in_process = engines_[0]->in_process();
-    // Every replica runs the same algorithm on the same feedback; the
-    // canonical one (index 0) is authoritative, the shadows are audited.
-    // Once a shadow diverges (caught here when it disagrees about the
-    // slot plan, or by check_consistency on full state) auditing stops: a
-    // replica outside lockstep cannot keep consuming shared feedback.
-    const bool audit = consistent_;
-    const SlotPlan plan = engines_[0]->next_slot(now_);
-    if (audit) {
-      for (std::size_t i = 1; i < engines_.size(); ++i) {
-        if (!(engines_[i]->next_slot(now_) == plan)) {
-          consistent_ = false;
-        }
-      }
-    }
-    const bool step_shadows = audit && consistent_;
-    const auto apply_feedback = [&](core::Feedback fb) {
-      engines_[0]->on_feedback(fb);
-      if (step_shadows) {
-        for (std::size_t i = 1; i < engines_.size(); ++i) {
-          engines_[i]->on_feedback(fb);
-        }
-      }
-    };
-    ++probe_steps_;
-    if (!was_in_process) {
-      purge_expired();
-      if (now_ >= config_.warmup) {
-        metrics_.pseudo_backlog.add(engines_[0]->backlog_metric(now_));
-      }
-    }
-    if (config_.consistency_check_every != 0 &&
-        probe_steps_ % config_.consistency_check_every == 0) {
-      check_consistency();
-    }
-    if (plan.kind == SlotPlan::Kind::Idle) {
-      metrics_.usage.add_idle_slot();
-      ++obs_idle_;
-      if (series != nullptr) series->add_idle(now_, backlog_now());
-      now_ += 1.0;
-      continue;
-    }
-    const bool windowed = plan.kind == SlotPlan::Kind::Window;
-    const auto probes_so_far =
-        static_cast<double>(engines_[0]->process_probes());
-
-    // Who transmits in this probe slot? Only stations holding messages
-    // can. Window plans probe an arrival-time interval (the incrementally
-    // maintained active index skips empty queues, and two eligible
-    // stations already decide a collision); Probability plans flip an
-    // engine-id-keyed coin per backlogged station, every coin drawn in
-    // station-id order so the stream stays aligned regardless of outcome.
-    Station* transmitter = nullptr;
-    std::ptrdiff_t tx_index = -1;
-    std::size_t tx_count = 0;
-    if (!windowed) {
-      tx_scratch_.clear();
-      for (Station& st : stations_) {
-        if (st.queue.empty()) continue;
-        if (sim::bernoulli(coin_rng_, plan.tx_prob)) {
-          ++tx_count;
-          tx_scratch_.emplace_back(st.queue.front().id,
-                                   st.queue.front().arrival);
-          if (transmitter == nullptr) {
-            transmitter = &st;
-            tx_index = 0;  // ALOHA stations send their oldest message
-          }
-        }
-      }
-    } else if (reference) {
-      for (Station& st : stations_) {
-        const std::ptrdiff_t idx =
-            eligible_index(st, plan.window.lo, plan.window.hi);
-        if (idx >= 0) {
-          ++tx_count;
-          transmitter = &st;
-          tx_index = idx;
-        }
-      }
-    } else {
-      for (const std::uint32_t id : active_) {
-        Station& st = stations_[id];
-        const std::ptrdiff_t idx =
-            eligible_index(st, plan.window.lo, plan.window.hi);
-        if (idx >= 0) {
-          ++tx_count;
-          transmitter = &st;
-          tx_index = idx;
-          if (tx_count == 2) break;  // collision decided
-        }
-      }
-    }
-
-    if (tx_count == 0) {
-      metrics_.usage.add_idle_slot();
-      ++obs_idle_;
-      if (series != nullptr) series->add_idle(now_, backlog_now());
-      if (config_.trace != nullptr && windowed) {
-        config_.trace->record(now_, sim::TraceKind::ProbeIdle,
-                              plan.window.lo, plan.window.hi);
-      }
-      apply_feedback(core::Feedback::Idle);
-      if (!engines_[0]->in_process() && now_ >= config_.warmup) {
-        metrics_.process_slots.add(probes_so_far);
-      }
-      now_ += 1.0;
-    } else if (tx_count == 1) {
-      ++obs_successes_;
-      const chan::Message msg =
-          (*transmitter).queue[static_cast<std::size_t>(tx_index)];
-      transmitter->queue.erase(transmitter->queue.begin() + tx_index);
-      const double wait = now_ - msg.arrival;
-      if (!windowed) collided_ids_.erase(msg.id);
-      if (series != nullptr) {
-        series->add_success(now_, k - wait, backlog_now());
-      }
-      if (flight != nullptr && flight->sampled(msg.arrival, 0)) {
-        flight->record(now_, obs::FlightEventKind::kAdmit, msg.arrival,
-                       k - wait, 0);
-        flight->record(now_, obs::FlightEventKind::kSuccess, msg.arrival,
-                       k - wait, 0);
-      }
-      if (config_.trace != nullptr) {
-        config_.trace->record(now_, sim::TraceKind::Transmission,
-                              msg.arrival);
-        if (wait > k) {
-          config_.trace->record(now_, sim::TraceKind::LateAtReceiver,
-                                msg.arrival);
-        }
-      }
-      if (msg.arrival >= config_.warmup) {
-        metrics_.wait_all.add(wait);
-        metrics_.wait_p50.add(wait);
-        metrics_.wait_p90.add(wait);
-        metrics_.wait_p99.add(wait);
-        if (metrics_.wait_hist_enabled) metrics_.wait_hist.add(wait);
-        metrics_.scheduling.add(now_ - std::max(msg.arrival, last_tx_end_));
-        if (wait <= k) {
-          ++metrics_.delivered;
-          metrics_.wait_delivered.add(wait);
-        } else {
-          ++metrics_.lost_receiver;
-        }
-      }
-      if (now_ >= config_.warmup) metrics_.process_slots.add(probes_so_far);
-      metrics_.usage.add_success(config_.message_length,
-                                 config_.success_overhead);
-      if (!windowed) {
-        // No window resolved, so nothing is stranded; ALOHA queues stay
-        // arrival-ordered on their own.
-        if (transmitter->queue.empty()) deactivate(*transmitter);
-      } else if (reference) {
-        // Seed-era path: restamp by full scan, then re-sort the queue.
-        double restamp = now_;
-        for (auto& pending : transmitter->queue) {
-          if (pending.window_stamp >= plan.window.lo &&
-              pending.window_stamp < plan.window.hi) {
-            restamp += 1e-7;
-            pending.window_stamp = restamp;
-            ++obs_restamps_;
-          }
-        }
-        std::sort(transmitter->queue.begin(), transmitter->queue.end(),
-                  [](const chan::Message& a, const chan::Message& b) {
-                    return a.window_stamp < b.window_stamp;
-                  });
-      } else {
-        restamp_stranded(*transmitter, plan.window.lo, plan.window.hi);
-        if (transmitter->queue.empty()) deactivate(*transmitter);
-      }
-      apply_feedback(core::Feedback::Success);
-      last_tx_end_ = now_ + config_.message_length + config_.success_overhead;
-      now_ = last_tx_end_;
-    } else {
-      metrics_.usage.add_collision_slot();
-      ++obs_collisions_;
-      // Attribution bookkeeping: remember what collided. Only useful when
-      // discards can happen (the sets are otherwise never consulted and
-      // would grow unpruned).
-      if (config_.policy.discard) {
-        if (windowed) {
-          collided_spans_.insert(plan.window.lo, plan.window.hi);
-        } else {
-          for (const auto& [id, arrival] : tx_scratch_) {
-            collided_ids_.insert(id);
-          }
-        }
-      }
-      if (series != nullptr) series->add_collision(now_, backlog_now());
-      if (flight != nullptr) {
-        if (windowed) {
-          // The early-exit eligibility scan resolves the identity of the
-          // last eligible message found; its flight track carries the
-          // collision.
-          const chan::Message& msg =
-              (*transmitter).queue[static_cast<std::size_t>(tx_index)];
-          if (flight->sampled(msg.arrival, 0)) {
-            flight->record(now_, obs::FlightEventKind::kAdmit, msg.arrival,
-                           k - (now_ - msg.arrival), 0);
-            flight->record(now_, obs::FlightEventKind::kCollision,
-                           msg.arrival, k - (now_ - msg.arrival), 0);
-          }
-        } else {
-          for (const auto& [id, arrival] : tx_scratch_) {
-            if (!flight->sampled(arrival, 0)) continue;
-            flight->record(now_, obs::FlightEventKind::kAdmit, arrival,
-                           k - (now_ - arrival), 0);
-            flight->record(now_, obs::FlightEventKind::kCollision, arrival,
-                           k - (now_ - arrival), 0);
-          }
-        }
-      }
-      if (config_.trace != nullptr && windowed) {
-        config_.trace->record(now_, sim::TraceKind::ProbeCollision,
-                              plan.window.lo, plan.window.hi);
-      }
-      apply_feedback(core::Feedback::Collision);
-      now_ += 1.0;
-    }
-  }
-  finalize();
-  finished_ = true;
-  return metrics_;
-}
-
-// ---------------------------------------------------------------------------
-// Multi-channel stepping (mac.channel.channels > 1). Each lane is its own
-// slotted channel with its own engine replicas, coin stream, per-station
-// queues, and clock; the ChannelPlan's selector routes each message to one
-// lane at arrival time. Lanes step in argmin-clock order (ties to the
-// lowest index), which guarantees every arrival at or below a lane's clock
-// is routed before that lane probes, so the single-channel invariants
-// (window floors never passing unrouted arrivals) hold per lane.
-
-void Network::mc_activate(McLane& lane, std::uint32_t station) {
-  if (lane.active_pos[station] >= 0) return;
-  lane.active_pos[station] = static_cast<std::ptrdiff_t>(lane.active.size());
-  lane.active.push_back(station);
-}
-
-void Network::mc_deactivate(McLane& lane, std::uint32_t station) {
-  if (lane.active_pos[station] < 0) return;
-  const auto pos = static_cast<std::size_t>(lane.active_pos[station]);
-  lane.active[pos] = lane.active.back();
-  lane.active_pos[lane.active[pos]] = static_cast<std::ptrdiff_t>(pos);
-  lane.active.pop_back();
-  lane.active_pos[station] = -1;
-}
-
-void Network::mc_route_message(chan::Message msg) {
-  for (std::size_t c = 0; c < mc_lanes_.size(); ++c) {
-    const McLane& lane = mc_lanes_[c];
-    lane_now_scratch_[c] = lane.now;
-    lane_busy_scratch_[c] = lane.last_tx_end;
-    lane_load_scratch_[c] = lane.pending;
-  }
-  const std::uint32_t c = selector_->route(
-      msg.arrival, lane_now_scratch_.data(), lane_busy_scratch_.data(),
-      lane_load_scratch_.data(),
-      config_.message_length + config_.success_overhead);
-  McLane& lane = mc_lanes_[c];
+  Lane& lane = lanes_[c];
   const auto station = static_cast<std::uint32_t>(msg.station);
-  lane.queues[station].push_back(msg);
+  lane.stations[station].queue.push_back(msg);
   ++lane.pending;
-  mc_activate(lane, station);
+  activate(lane, station);
   if (config_.capture.series != nullptr) {
     config_.capture.series->add_arrival(msg.arrival, config_.policy.deadline);
   }
@@ -755,32 +249,35 @@ void Network::mc_route_message(chan::Message msg) {
     config_.capture.flight->record(msg.arrival,
                                    obs::FlightEventKind::kArrival,
                                    msg.arrival, config_.policy.deadline, c);
-    config_.capture.flight->record(msg.arrival, obs::FlightEventKind::kRoute,
-                                   msg.arrival, config_.policy.deadline, c);
+    if (selector_) {
+      config_.capture.flight->record(msg.arrival,
+                                     obs::FlightEventKind::kRoute,
+                                     msg.arrival, config_.policy.deadline, c);
+    }
   }
   if (msg.arrival >= config_.warmup) ++metrics_.arrivals;
 }
 
-void Network::mc_generate_arrivals_until(double t) {
+void Network::generate_arrivals_until(double t) {
   if (batched_rate_ > 0.0) {
     while (next_batched_arrival() <= t) {
       const BatchedArrival a = batched_block_[batched_pos_++];
-      Station& st = stations_[a.station];
-      mc_route_message(chan::Message::make(next_msg_id_++, st.id, a.time,
-                                           config_.message_length));
+      route_message(chan::Message::make(next_msg_id_++,
+                                        stations_[a.station].id, a.time,
+                                        config_.message_length));
     }
     return;
   }
   for (Station& st : stations_) {
     while (st.next_arrival <= t) {
-      mc_route_message(chan::Message::make(
+      route_message(chan::Message::make(
           next_msg_id_++, st.id, st.next_arrival, config_.message_length));
       st.next_arrival = st.arrivals->next(rng_);
     }
   }
 }
 
-void Network::mc_purge_expired(McLane& lane, std::uint32_t ch) {
+void Network::purge_expired(Lane& lane, std::uint32_t ch) {
   if (!config_.policy.discard) return;
   const double cutoff = lane.now - config_.policy.deadline;
   const bool windowed_engine = config_.mac.engine.kind == EngineKind::Window;
@@ -788,6 +285,9 @@ void Network::mc_purge_expired(McLane& lane, std::uint32_t ch) {
     if (msg.arrival >= cutoff) return false;
     ++lane.tally.sender_discards;
     --lane.pending;
+    // Attribution (see Lane): the eligibility key is the CURRENT window
+    // stamp -- restamped messages are judged by the spans their restamp
+    // was probed into, exactly what admission saw.
     if (windowed_engine) {
       if (lane.collided_spans.contains(msg.window_stamp)) {
         ++lane.tally.collision_killed;
@@ -809,52 +309,73 @@ void Network::mc_purge_expired(McLane& lane, std::uint32_t ch) {
           lane.now, obs::FlightEventKind::kExpiry, msg.arrival,
           config_.policy.deadline - (lane.now - msg.arrival), ch);
     }
+    if (config_.trace != nullptr) {
+      config_.trace->record(lane.now, sim::TraceKind::SenderDiscard,
+                            msg.arrival);
+    }
     return true;
   };
+  // Live stamps never drop below the cutoff (stamps only grow from the
+  // arrival), so collided spans below it are dead weight -- prune them.
   lane.collided_spans.erase_below(cutoff);
   if (config_.reference_kernel) {
-    // Reference path: per-element deque erase, every station scanned.
-    for (std::size_t s = 0; s < stations_.size(); ++s) {
-      auto& queue = lane.queues[s];
-      for (auto it = queue.begin(); it != queue.end();) {
+    // Seed-era path: per-element deque erase, every station scanned.
+    for (LaneStation& st : lane.stations) {
+      for (auto it = st.queue.begin(); it != st.queue.end();) {
         if (expired(*it)) {
-          it = queue.erase(it);
+          it = st.queue.erase(it);
         } else {
           ++it;
         }
       }
-      if (queue.empty()) {
-        mc_deactivate(lane, static_cast<std::uint32_t>(s));
+      if (st.queue.empty()) deactivate(lane, st);
+    }
+    return;
+  }
+  if (config_.event_skip) {
+    // O(active) sweep: only stations in the active index can hold
+    // messages. Visit order differs from station order, but the purge
+    // only bumps integer tallies (lost_sender, sender_discards), which
+    // commute; traces are excluded from event-skip mode for this reason.
+    for (std::size_t i = 0; i < lane.active.size();) {
+      LaneStation& st = lane.stations[lane.active[i]];
+      st.queue.erase(std::remove_if(st.queue.begin(), st.queue.end(), expired),
+                     st.queue.end());
+      if (st.queue.empty()) {
+        deactivate(lane, st);  // swaps another id into slot i; revisit it
+      } else {
+        ++i;
       }
     }
     return;
   }
-  // One stable sweep per station in id order (the same order as the
-  // reference path, so tallies and metrics are bit-identical).
-  for (std::size_t s = 0; s < stations_.size(); ++s) {
-    auto& queue = lane.queues[s];
-    if (queue.empty()) continue;
-    queue.erase(std::remove_if(queue.begin(), queue.end(), expired),
-                queue.end());
-    if (queue.empty()) mc_deactivate(lane, static_cast<std::uint32_t>(s));
+  // One stable sweep per station; station (= trace) order.
+  for (LaneStation& st : lane.stations) {
+    if (st.queue.empty()) continue;
+    st.queue.erase(std::remove_if(st.queue.begin(), st.queue.end(), expired),
+                   st.queue.end());
+    if (st.queue.empty()) deactivate(lane, st);
   }
 }
 
-void Network::mc_check_consistency(McLane& lane) {
-  ++checks_run_;
-  for (std::size_t i = 1; i < lane.engines.size(); ++i) {
-    if (!lane.engines[0]->state_equals(*lane.engines[i])) {
-      lane.consistent = false;
-      consistent_ = false;
-      return;
-    }
+std::ptrdiff_t Network::eligible_index(const std::deque<chan::Message>& q,
+                                       double lo, double hi) {
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    const double stamp = q[i].window_stamp;
+    if (stamp >= hi) break;  // queue is sorted by stamp
+    if (stamp >= lo) return static_cast<std::ptrdiff_t>(i);
   }
+  return -1;
 }
 
-void Network::mc_restamp_stranded(McLane& lane, std::uint32_t station,
-                                  double lo, double hi) {
-  auto& queue = lane.queues[station];
-  double restamp = lane.now;
+void Network::restamp_stranded(std::deque<chan::Message>& queue, double now,
+                               double lo, double hi) {
+  // Re-stamp any other messages of this station stranded inside the
+  // window that is about to be resolved (see header). Restamps exceed
+  // `now` and every other stamp is <= now, so in the (stamp-sorted) queue
+  // the stranded run is contiguous and its final home is the back: an
+  // O(moved) rotate replaces the seed-era full std::sort.
+  double restamp = now;
   std::size_t first = queue.size();
   std::size_t last = 0;
   std::size_t count = 0;
@@ -869,12 +390,14 @@ void Network::mc_restamp_stranded(McLane& lane, std::uint32_t station,
     }
   }
   if (count == 0) return;
-  obs_restamps_ += count;
+  restamps_ += count;
   if (count == last - first + 1) {
     std::rotate(queue.begin() + static_cast<std::ptrdiff_t>(first),
                 queue.begin() + static_cast<std::ptrdiff_t>(last + 1),
                 queue.end());
   } else {
+    // Unreachable while the sorted-by-stamp invariant holds; keep the
+    // seed-era sort as the safety net.
     std::sort(queue.begin(), queue.end(),
               [](const chan::Message& a, const chan::Message& b) {
                 return a.window_stamp < b.window_stamp;
@@ -882,23 +405,105 @@ void Network::mc_restamp_stranded(McLane& lane, std::uint32_t station,
   }
 }
 
-void Network::mc_step_lane(McLane& lane, std::uint32_t ch) {
+void Network::check_consistency(Lane& lane) {
+  ++checks_run_;
+  for (std::size_t i = 1; i < lane.engines.size(); ++i) {
+    if (!lane.engines[0]->state_equals(*lane.engines[i])) {
+      lane.consistent = false;
+      return;
+    }
+  }
+}
+
+bool Network::try_skip_quiescent(Lane& lane) {
+  // Certificates need exact +1 slot arithmetic; a fractional clock (odd
+  // message lengths) falls back to per-slot stepping.
+  if (lane.now != std::floor(lane.now)) return false;
+  // Slot t is arrival-free iff t < next_arrival, and simulated iff
+  // t < t_end; the skippable span is every slot before the earlier one.
+  const double horizon = std::min(next_batched_arrival(), config_.t_end);
+  if (horizon <= lane.now) return false;
+  const auto max_slots = static_cast<std::uint64_t>(
+      std::ceil(std::min(horizon - lane.now, 1e15)));
+  if (max_slots == 0) return false;
+  const QuiescentStretch stretch =
+      lane.engines[0]->quiescent_until(lane.now, max_slots);
+  if (stretch.slots == 0) return false;
+  // Every replica must issue the identical certificate; otherwise step
+  // per-slot, where the audit machinery judges divergence for real.
+  for (std::size_t i = 1; i < lane.engines.size(); ++i) {
+    if (!(lane.engines[i]->quiescent_until(lane.now, max_slots) == stretch)) {
+      return false;
+    }
+  }
+  // A captured series sees the stretch as its closed-form synthesis:
+  // add_idle_run is bit-identical to the per-slot path's stretch.slots
+  // consecutive add_idle calls at the certified constant backlog (the
+  // per-slot path samples backlog_metric, which the certificate pins to
+  // stretch.backlog on every skipped slot).
+  if (config_.capture.series != nullptr) {
+    config_.capture.series->add_idle_run(lane.now, stretch.slots,
+                                         stretch.backlog);
+  }
+  // Replay the per-slot metric pattern of the stretch exactly: the
+  // accumulators are Welford streams, so each slot's contribution is
+  // applied in sequence (no closed form is bit-identical). This loop is a
+  // few flops per slot with no station, engine, or RNG work -- the whole
+  // point of the certificate.
+  double t = lane.now;
+  for (std::uint64_t i = 0; i < stretch.slots; ++i, t += 1.0) {
+    ++lane.tally.probe_slots;
+    ++lane.tally.idle_slots;
+    metrics_.usage.add_idle_slot();
+    if (t >= config_.warmup) {
+      metrics_.pseudo_backlog.add(stretch.backlog);
+      metrics_.process_slots.add(1.0);
+    }
+    if (config_.consistency_check_every != 0 &&
+        lane.tally.probe_slots % config_.consistency_check_every == 0) {
+      // Replicas are untouched during the replay, and honest replicas are
+      // bit-identical at every step, so comparing the pre-skip states at
+      // the due cadence reproduces the per-slot path's verdict and count.
+      check_consistency(lane);
+    }
+  }
+  for (auto& engine : lane.engines) {
+    engine->skip_quiescent(t - 1.0, stretch.slots);
+  }
+  skipped_slots_ += stretch.slots;
+  lane.now = t;
+  return true;
+}
+
+void Network::step_lane(Lane& lane, std::uint32_t ch) {
   const double k = config_.policy.deadline;
   const bool reference = config_.reference_kernel;
   obs::SlotSeries* const series = config_.capture.series;
   obs::FlightRecorder::Segment* const flight = config_.capture.flight;
+  sim::TraceLog* const trace = config_.trace;
+  // The series' backlog track samples the engine's backlog estimate: the
+  // same quantity the event-skip certificates pin, so per-slot and
+  // event-skip runs produce byte-identical series.
   const auto backlog_now = [&] {
     return lane.engines[0]->backlog_metric(lane.now);
   };
-  mc_generate_arrivals_until(lane.now);
+  generate_arrivals_until(lane.now);
+  if (config_.event_skip && lane.active.empty() && lane.consistent &&
+      try_skip_quiescent(lane)) {
+    return;
+  }
   const bool was_in_process = lane.engines[0]->in_process();
+  // Every replica runs the same algorithm on the same feedback; the
+  // canonical one (index 0) is authoritative, the shadows are audited.
+  // Once a shadow diverges (caught here when it disagrees about the slot
+  // plan, or by check_consistency on full state) auditing stops: a
+  // replica outside lockstep cannot keep consuming shared feedback.
   const bool audit = lane.consistent;
   const SlotPlan plan = lane.engines[0]->next_slot(lane.now);
   if (audit) {
     for (std::size_t i = 1; i < lane.engines.size(); ++i) {
       if (!(lane.engines[i]->next_slot(lane.now) == plan)) {
         lane.consistent = false;
-        consistent_ = false;
       }
     }
   }
@@ -913,14 +518,14 @@ void Network::mc_step_lane(McLane& lane, std::uint32_t ch) {
   };
   ++lane.tally.probe_slots;
   if (!was_in_process) {
-    mc_purge_expired(lane, ch);
+    purge_expired(lane, ch);
     if (lane.now >= config_.warmup) {
       metrics_.pseudo_backlog.add(lane.engines[0]->backlog_metric(lane.now));
     }
   }
   if (config_.consistency_check_every != 0 &&
       lane.tally.probe_slots % config_.consistency_check_every == 0) {
-    mc_check_consistency(lane);
+    check_consistency(lane);
   }
   if (plan.kind == SlotPlan::Kind::Idle) {
     metrics_.usage.add_idle_slot();
@@ -933,40 +538,47 @@ void Network::mc_step_lane(McLane& lane, std::uint32_t ch) {
   const auto probes_so_far =
       static_cast<double>(lane.engines[0]->process_probes());
 
-  std::uint32_t tx_station = 0;
+  // Who transmits in this probe slot? Only stations holding messages can.
+  // Window plans probe an arrival-time interval (the incrementally
+  // maintained active index skips empty queues, and two eligible stations
+  // already decide a collision); Probability plans flip an engine-id-keyed
+  // coin per backlogged station, every coin drawn in station-id order so
+  // the stream stays aligned regardless of outcome.
+  LaneStation* transmitter = nullptr;
   std::ptrdiff_t tx_index = -1;
   std::size_t tx_count = 0;
   if (!windowed) {
     lane.tx_scratch.clear();
-    for (std::size_t s = 0; s < stations_.size(); ++s) {
-      if (lane.queues[s].empty()) continue;
+    for (LaneStation& st : lane.stations) {
+      if (st.queue.empty()) continue;
       if (sim::bernoulli(lane.coin_rng, plan.tx_prob)) {
         ++tx_count;
-        lane.tx_scratch.emplace_back(lane.queues[s].front().id,
-                                     lane.queues[s].front().arrival);
-        if (tx_count == 1) {
-          tx_station = static_cast<std::uint32_t>(s);
+        lane.tx_scratch.emplace_back(st.queue.front().id,
+                                     st.queue.front().arrival);
+        if (transmitter == nullptr) {
+          transmitter = &st;
           tx_index = 0;  // ALOHA stations send their oldest message
         }
       }
     }
   } else if (reference) {
-    for (std::size_t s = 0; s < stations_.size(); ++s) {
+    for (LaneStation& st : lane.stations) {
       const std::ptrdiff_t idx =
-          eligible_index_q(lane.queues[s], plan.window.lo, plan.window.hi);
+          eligible_index(st.queue, plan.window.lo, plan.window.hi);
       if (idx >= 0) {
         ++tx_count;
-        tx_station = static_cast<std::uint32_t>(s);
+        transmitter = &st;
         tx_index = idx;
       }
     }
   } else {
     for (const std::uint32_t id : lane.active) {
+      LaneStation& st = lane.stations[id];
       const std::ptrdiff_t idx =
-          eligible_index_q(lane.queues[id], plan.window.lo, plan.window.hi);
+          eligible_index(st.queue, plan.window.lo, plan.window.hi);
       if (idx >= 0) {
         ++tx_count;
-        tx_station = id;
+        transmitter = &st;
         tx_index = idx;
         if (tx_count == 2) break;  // collision decided
       }
@@ -977,6 +589,10 @@ void Network::mc_step_lane(McLane& lane, std::uint32_t ch) {
     metrics_.usage.add_idle_slot();
     ++lane.tally.idle_slots;
     if (series != nullptr) series->add_idle(lane.now, backlog_now());
+    if (trace != nullptr && windowed) {
+      trace->record(lane.now, sim::TraceKind::ProbeIdle, plan.window.lo,
+                    plan.window.hi);
+    }
     apply_feedback(core::Feedback::Idle);
     if (!lane.engines[0]->in_process() && lane.now >= config_.warmup) {
       metrics_.process_slots.add(probes_so_far);
@@ -984,7 +600,7 @@ void Network::mc_step_lane(McLane& lane, std::uint32_t ch) {
     lane.now += 1.0;
   } else if (tx_count == 1) {
     ++lane.tally.successes;
-    auto& queue = lane.queues[tx_station];
+    auto& queue = transmitter->queue;
     const chan::Message msg = queue[static_cast<std::size_t>(tx_index)];
     queue.erase(queue.begin() + tx_index);
     --lane.pending;
@@ -998,6 +614,12 @@ void Network::mc_step_lane(McLane& lane, std::uint32_t ch) {
                      k - wait, ch);
       flight->record(lane.now, obs::FlightEventKind::kSuccess, msg.arrival,
                      k - wait, ch);
+    }
+    if (trace != nullptr) {
+      trace->record(lane.now, sim::TraceKind::Transmission, msg.arrival);
+      if (wait > k) {
+        trace->record(lane.now, sim::TraceKind::LateAtReceiver, msg.arrival);
+      }
     }
     if (msg.arrival >= config_.warmup) {
       metrics_.wait_all.add(wait);
@@ -1018,15 +640,18 @@ void Network::mc_step_lane(McLane& lane, std::uint32_t ch) {
     metrics_.usage.add_success(config_.message_length,
                                config_.success_overhead);
     if (!windowed) {
-      if (queue.empty()) mc_deactivate(lane, tx_station);
+      // No window resolved, so nothing is stranded; ALOHA queues stay
+      // arrival-ordered on their own.
+      if (queue.empty()) deactivate(lane, *transmitter);
     } else if (reference) {
+      // Seed-era path: restamp by full scan, then re-sort the queue.
       double restamp = lane.now;
       for (auto& pending : queue) {
         if (pending.window_stamp >= plan.window.lo &&
             pending.window_stamp < plan.window.hi) {
           restamp += 1e-7;
           pending.window_stamp = restamp;
-          ++obs_restamps_;
+          ++restamps_;
         }
       }
       std::sort(queue.begin(), queue.end(),
@@ -1034,8 +659,8 @@ void Network::mc_step_lane(McLane& lane, std::uint32_t ch) {
                   return a.window_stamp < b.window_stamp;
                 });
     } else {
-      mc_restamp_stranded(lane, tx_station, plan.window.lo, plan.window.hi);
-      if (queue.empty()) mc_deactivate(lane, tx_station);
+      restamp_stranded(queue, lane.now, plan.window.lo, plan.window.hi);
+      if (queue.empty()) deactivate(lane, *transmitter);
     }
     apply_feedback(core::Feedback::Success);
     lane.last_tx_end =
@@ -1044,6 +669,9 @@ void Network::mc_step_lane(McLane& lane, std::uint32_t ch) {
   } else {
     metrics_.usage.add_collision_slot();
     ++lane.tally.collisions;
+    // Attribution bookkeeping: remember what collided. Only useful when
+    // discards can happen (the sets are otherwise never consulted and
+    // would grow unpruned).
     if (config_.policy.discard) {
       if (windowed) {
         lane.collided_spans.insert(plan.window.lo, plan.window.hi);
@@ -1056,8 +684,10 @@ void Network::mc_step_lane(McLane& lane, std::uint32_t ch) {
     if (series != nullptr) series->add_collision(lane.now, backlog_now());
     if (flight != nullptr) {
       if (windowed) {
+        // The eligibility scan resolves the identity of the last eligible
+        // message found; its flight track carries the collision.
         const chan::Message& msg =
-            lane.queues[tx_station][static_cast<std::size_t>(tx_index)];
+            transmitter->queue[static_cast<std::size_t>(tx_index)];
         if (flight->sampled(msg.arrival, ch)) {
           flight->record(lane.now, obs::FlightEventKind::kAdmit, msg.arrival,
                          k - (lane.now - msg.arrival), ch);
@@ -1074,49 +704,52 @@ void Network::mc_step_lane(McLane& lane, std::uint32_t ch) {
         }
       }
     }
+    if (trace != nullptr && windowed) {
+      trace->record(lane.now, sim::TraceKind::ProbeCollision, plan.window.lo,
+                    plan.window.hi);
+    }
     apply_feedback(core::Feedback::Collision);
     lane.now += 1.0;
   }
 }
 
-const SimMetrics& Network::run_multichannel() {
-  // Multi-channel runs exclude the single-channel-only surfaces: the
-  // event-skip stepper (certificates assume one lane), traces (records
-  // carry no channel field; also enforced at construction), and the
-  // desync test hook (the audit machinery is per-lane).
-  TCW_EXPECTS(!config_.event_skip);
-  TCW_EXPECTS(config_.trace == nullptr);
-  TCW_EXPECTS(desync_replica_ == SIZE_MAX);
-  const ChannelPlan& plan = config_.mac.channel;
-  const std::size_t replicas = controller_replicas();
-  mc_lanes_.resize(plan.channels);
-  const std::uint64_t coin_base =
-      engine_coin_seed(config_.mac.engine.kind, config_.seed);
-  for (std::uint32_t c = 0; c < plan.channels; ++c) {
-    McLane& lane = mc_lanes_[c];
-    core::ControlPolicy lane_policy = config_.policy;
-    lane_policy.shared_seed =
-        channel_stream_seed(config_.policy.shared_seed, c);
-    lane.engines.reserve(replicas);
-    for (std::size_t i = 0; i < replicas; ++i) {
-      lane.engines.push_back(make_engine(config_.mac.engine, lane_policy));
-    }
-    lane.coin_rng = sim::Rng(channel_stream_seed(coin_base, c));
-    lane.queues.resize(stations_.size());
-    lane.active_pos.assign(stations_.size(), -1);
+const SimMetrics& Network::run() {
+  TCW_EXPECTS(!finished_);
+  TCW_EXPECTS(!stations_.empty());
+  const bool single_channel = config_.mac.channel.channels == 1;
+  if (config_.event_skip) {
+    // The skip certificates only hold on the schedule-independent batched
+    // stream and one lane, produce no per-slot trace events, and
+    // canonicalize replica state (so a desync injection must be audited
+    // per-slot).
+    TCW_EXPECTS(batched_rate_ > 0.0);
+    TCW_EXPECTS(single_channel);
+    TCW_EXPECTS(!config_.reference_kernel);
+    TCW_EXPECTS(config_.trace == nullptr);
+    TCW_EXPECTS(desync_replica_ == SIZE_MAX);
   }
-  selector_.emplace(plan, config_.seed);
-  lane_now_scratch_.resize(plan.channels);
-  lane_busy_scratch_.resize(plan.channels);
-  lane_load_scratch_.resize(plan.channels);
+  // The desync test hook audits lane 0 only, so it needs C = 1.
+  TCW_EXPECTS(single_channel || desync_replica_ == SIZE_MAX);
+
+  build_lanes();
+  if (desync_replica_ != SIZE_MAX) {
+    std::vector<std::unique_ptr<ProtocolEngine>>& engines = lanes_[0].engines;
+    TCW_EXPECTS(engines.size() >= 2);  // see desync_replica_for_test
+    TCW_EXPECTS(desync_replica_ < engines.size());
+    // One out-of-band probe round nobody else sees: the replica resolves
+    // an interval (or, for ALOHA engines, consumes a feedback) the rest
+    // of the network never observed.
+    ProtocolEngine& rogue = *engines[desync_replica_];
+    if (rogue.next_slot(1.0).probes()) rogue.on_feedback(core::Feedback::Idle);
+  }
 
   for (;;) {
     std::size_t li = 0;
-    for (std::size_t c = 1; c < mc_lanes_.size(); ++c) {
-      if (mc_lanes_[c].now < mc_lanes_[li].now) li = c;
+    for (std::size_t c = 1; c < lanes_.size(); ++c) {
+      if (lanes_[c].now < lanes_[li].now) li = c;
     }
-    if (mc_lanes_[li].now >= config_.t_end) break;
-    mc_step_lane(mc_lanes_[li], static_cast<std::uint32_t>(li));
+    if (lanes_[li].now >= config_.t_end) break;
+    step_lane(lanes_[li], static_cast<std::uint32_t>(li));
   }
   finalize();
   finished_ = true;
@@ -1125,55 +758,34 @@ const SimMetrics& Network::run_multichannel() {
 
 void Network::finalize() {
   const double k = config_.policy.deadline;
-  NetworkCounters& counters = network_counters();
-  if (!mc_lanes_.empty()) {
-    obs::ChannelTally total;
-    for (std::size_t c = 0; c < mc_lanes_.size(); ++c) {
-      McLane& lane = mc_lanes_[c];
-      for (const auto& queue : lane.queues) {
-        for (const chan::Message& msg : queue) {
-          if (msg.arrival < config_.warmup) continue;
-          if (lane.now - msg.arrival > k) {
-            ++metrics_.censored_lost;
-          } else {
-            ++metrics_.pending_at_end;
-          }
+  obs::ChannelTally total;
+  for (std::size_t c = 0; c < lanes_.size(); ++c) {
+    Lane& lane = lanes_[c];
+    for (const LaneStation& st : lane.stations) {
+      for (const chan::Message& msg : st.queue) {
+        if (msg.arrival < config_.warmup) continue;
+        if (lane.now - msg.arrival > k) {
+          ++metrics_.censored_lost;
+        } else {
+          ++metrics_.pending_at_end;
         }
       }
-      if (config_.consistency_check_every != 0) mc_check_consistency(lane);
-      total += lane.tally;
+    }
+    if (config_.consistency_check_every != 0) check_consistency(lane);
+    total += lane.tally;
+    if (selector_) {
       obs::flush_channel_tally("net.network", static_cast<std::uint32_t>(c),
                                lane.tally);
     }
-    counters.runs.add(1);
-    counters.probe_slots.add(total.probe_slots);
-    counters.idle_slots.add(total.idle_slots);
-    counters.collisions.add(total.collisions);
-    counters.successes.add(total.successes);
-    counters.sender_discards.add(total.sender_discards);
-    counters.restamps.add(obs_restamps_);
-    counters.consistency_checks.add(checks_run_);
-    return;
   }
-  for (const Station& st : stations_) {
-    for (const chan::Message& msg : st.queue) {
-      if (msg.arrival < config_.warmup) continue;
-      if (now_ - msg.arrival > k) {
-        ++metrics_.censored_lost;
-      } else {
-        ++metrics_.pending_at_end;
-      }
-    }
-  }
-  if (config_.consistency_check_every != 0) check_consistency();
-
+  NetworkCounters& counters = network_counters();
   counters.runs.add(1);
-  counters.probe_slots.add(probe_steps_);
-  counters.idle_slots.add(obs_idle_);
-  counters.collisions.add(obs_collisions_);
-  counters.successes.add(obs_successes_);
-  counters.sender_discards.add(obs_discards_);
-  counters.restamps.add(obs_restamps_);
+  counters.probe_slots.add(total.probe_slots);
+  counters.idle_slots.add(total.idle_slots);
+  counters.collisions.add(total.collisions);
+  counters.successes.add(total.successes);
+  counters.sender_discards.add(total.sender_discards);
+  counters.restamps.add(restamps_);
   counters.consistency_checks.add(checks_run_);
 }
 

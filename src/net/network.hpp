@@ -13,6 +13,17 @@
 // further messages whose arrivals lie in that window. Those are re-stamped
 // to the current instant for window eligibility (their true arrival time,
 // used for deadlines and delay metrics, is unchanged).
+//
+// Multi-channel runs (mac.channel.channels > 1) shard the messages across
+// C parallel lanes, each with its own engine replicas and per-station
+// queues, with the ChannelPlan's selector routing each message at arrival
+// time. Lanes step in argmin-clock order (ties to the lowest index), which
+// guarantees every arrival at or below a lane's clock is routed before
+// that lane probes -- so a lane's resolved window floor never passes an
+// unrouted arrival and the single-channel invariants hold per lane. With
+// C = 1 the run is lane 0: no selector is consulted, lane-0 seeds are the
+// raw seeds, and no routing event or per-channel counter is emitted
+// (tests/test_network_golden.cpp pins the output bit for bit).
 #pragma once
 
 #include <cstdint>
@@ -128,7 +139,8 @@ class Network {
 
   std::size_t station_count() const { return stations_.size(); }
   std::uint64_t consistency_checks_run() const { return checks_run_; }
-  bool stations_consistent() const { return consistent_; }
+  /// False once any lane's replicas have diverged.
+  bool stations_consistent() const;
   const SimMetrics& metrics() const { return metrics_; }
   /// Probe slots issued so far, summed over channels (throughput benches
   /// divide by wall time).
@@ -160,8 +172,6 @@ class Network {
     chan::StationId id = 0;
     std::unique_ptr<chan::ArrivalProcess> arrivals;
     double next_arrival = 0.0;
-    std::deque<chan::Message> queue;  // sorted by window_stamp
-    std::ptrdiff_t active_pos = -1;   // slot in active_, -1 when queue empty
   };
 
   struct BatchedArrival {
@@ -169,79 +179,84 @@ class Network {
     std::uint32_t station = 0;
   };
 
-  /// One channel of a multi-channel run: its engine replicas, slot clock,
-  /// coin stream, per-station message queues, active-station index, and
-  /// outcome tally. The single-channel path never builds these (it runs
-  /// the original loop on the flat members below, bit-identically).
-  struct McLane {
+  /// One station's state on one lane.
+  struct LaneStation {
+    std::deque<chan::Message> queue;  // sorted by window_stamp
+    std::ptrdiff_t active_pos = -1;   // slot in Lane::active, -1 when empty
+  };
+
+  /// One channel: its engine replicas, slot clock, coin stream,
+  /// per-station message queues, active-station index, and outcome tally.
+  struct Lane {
+    // engines[0] is the canonical replica driving the lane; the rest are
+    // the shadows check_consistency audits (all stations under
+    // reference_kernel or the default shadow_replicas).
     std::vector<std::unique_ptr<ProtocolEngine>> engines;
+    // Transmission coins for Probability plans, engine-id-keyed and
+    // separate from the arrival stream. Local (kernel-side) randomness:
+    // replicas never see it, so engines stay pure functions of the
+    // feedback. Never drawn under the window engine -- its plans carry no
+    // probability. Lane 0 runs on the raw engine_coin_seed stream.
     sim::Rng coin_rng{0};
     double now = 0.0;
     double last_tx_end = 0.0;
     bool consistent = true;
     std::uint64_t pending = 0;  // messages queued across all stations
-    std::vector<std::deque<chan::Message>> queues;  // per station, by stamp
-    std::vector<std::uint32_t> active;              // station ids
-    std::vector<std::ptrdiff_t> active_pos;         // per station, -1 = out
+    // Indexed by station id; grown as stations are added, so the queues
+    // exist before run() starts the clock.
+    std::vector<LaneStation> stations;
+    std::vector<std::uint32_t> active;  // ids of stations with pending work
     obs::ChannelTally tally;
-    // Deadline-loss attribution state (always on, observation-only);
-    // see the single-channel members below for semantics.
+    // Deadline-loss attribution (always on -- the classification is pure
+    // observation and feeds the cached sweep payloads). Window engines:
+    // window-stamp spans of every collided probe; a purged message whose
+    // stamp lies in a collided span reached the channel and lost
+    // (collision_killed), otherwise the window never admitted it in time
+    // (admission_starved). Probability engines: message ids that ever
+    // transmitted into a collision (collision_killed at purge); the rest
+    // aged out in queue (queue_expired -- ALOHA has no admission control).
+    // Pruned against the discard cutoff / erased on success, so both stay
+    // bounded by the live backlog.
     tcw::IntervalSet collided_spans;
     std::unordered_set<std::uint64_t> collided_ids;
+    // Scratch: (message id, arrival) of the current Probability slot's
+    // transmitters, reused across slots.
     std::vector<std::pair<std::uint64_t, double>> tx_scratch;
   };
 
+  /// Build every lane's engine replicas, coin stream and, when C > 1, the
+  /// selector.
+  void build_lanes();
   void generate_arrivals_until(double t);
+  /// Queue `msg` on its lane: lane 0 when C = 1, else the selector's pick.
+  void route_message(chan::Message msg);
   void refill_batched_block();
   /// Time of the next undelivered batched arrival (refills as needed).
   double next_batched_arrival();
-  /// Event-skip fast path: with no active station, certify a quiescent
-  /// stretch across every replica, replay its per-slot metric pattern
-  /// exactly, and fast-forward the engines. Returns false when no stretch
-  /// is certified (the caller steps the slot normally).
-  bool try_skip_quiescent();
-  void purge_expired();
+  /// Event-skip fast path (C = 1 only): with no active station, certify a
+  /// quiescent stretch across every replica, replay its per-slot metric
+  /// pattern exactly, and fast-forward the engines. Returns false when no
+  /// stretch is certified (the caller steps the slot normally).
+  bool try_skip_quiescent(Lane& lane);
+  /// Generate the arrivals up to the lane's clock, then step one slot.
+  void step_lane(Lane& lane, std::uint32_t ch);
+  void purge_expired(Lane& lane, std::uint32_t ch);
   /// Index of the message with the oldest stamp inside [lo, hi); -1 if none.
-  static std::ptrdiff_t eligible_index(const Station& st, double lo,
-                                       double hi);
-  static std::ptrdiff_t eligible_index_q(const std::deque<chan::Message>& q,
-                                         double lo, double hi);
-  void build_engines();
-  void check_consistency();
+  static std::ptrdiff_t eligible_index(const std::deque<chan::Message>& q,
+                                       double lo, double hi);
+  void check_consistency(Lane& lane);
   void finalize();
-  void activate(Station& st);
-  void deactivate(Station& st);
+  void activate(Lane& lane, std::uint32_t station);
+  void deactivate(Lane& lane, LaneStation& st);
   /// Move the transmitter's messages stranded in the resolved window
-  /// [lo, hi) behind everything else, re-stamped to fresh instants.
-  void restamp_stranded(Station& st, double lo, double hi);
-
-  // Multi-channel (mac.channel.channels > 1) machinery. Lanes step in
-  // argmin-clock order, so every arrival at or below a lane's clock is
-  // routed before that lane probes.
-  const SimMetrics& run_multichannel();
-  void mc_step_lane(McLane& lane, std::uint32_t ch);
-  void mc_generate_arrivals_until(double t);
-  void mc_route_message(chan::Message msg);
-  void mc_purge_expired(McLane& lane, std::uint32_t ch);
-  void mc_check_consistency(McLane& lane);
-  void mc_restamp_stranded(McLane& lane, std::uint32_t station, double lo,
-                           double hi);
-  void mc_activate(McLane& lane, std::uint32_t station);
-  void mc_deactivate(McLane& lane, std::uint32_t station);
+  /// [lo, hi) behind everything else, re-stamped to fresh instants
+  /// after `now`.
+  void restamp_stranded(std::deque<chan::Message>& queue, double now,
+                        double lo, double hi);
 
   NetworkConfig config_;
   std::vector<Station> stations_;
-  // engines_[0] is the canonical replica driving the simulation; the rest
-  // are the shadows check_consistency audits (all stations under
-  // reference_kernel or the default shadow_replicas).
-  std::vector<std::unique_ptr<ProtocolEngine>> engines_;
-  std::vector<std::uint32_t> active_;  // ids of stations with pending work
   sim::Rng rng_;
-  // Transmission coins for Probability plans, engine-id-keyed and separate
-  // from the arrival stream. Local (kernel-side) randomness: replicas
-  // never see it, so engines stay pure functions of the feedback. Never
-  // drawn under the window engine -- its plans carry no probability.
-  sim::Rng coin_rng_;
   // Batched aggregate arrival stream (homogeneous_poisson_batched); rate 0
   // means per-station mode. Runs on its own derived stream so the existing
   // per-station draws on rng_ stay bit-identical.
@@ -250,45 +265,18 @@ class Network {
   double batched_clock_ = 0.0;  // time of the last generated arrival
   std::vector<BatchedArrival> batched_block_;
   std::size_t batched_pos_ = 0;
-  double now_ = 0.0;
-  double last_tx_end_ = 0.0;
   chan::MessageId next_msg_id_ = 1;
-  std::uint64_t probe_steps_ = 0;
   std::uint64_t skipped_slots_ = 0;
   std::uint64_t checks_run_ = 0;
+  std::uint64_t restamps_ = 0;  // flushed to the obs registry in finalize()
   std::size_t desync_replica_ = SIZE_MAX;  // pending test-hook injection
-  bool consistent_ = true;
   bool finished_ = false;
   SimMetrics metrics_;
-  // Observability tallies, kept as plain locals on the hot path and
-  // flushed into the global obs registry once, in finalize(). They never
-  // feed back into the simulation (no RNG draws, no control flow).
-  std::uint64_t obs_idle_ = 0;
-  std::uint64_t obs_collisions_ = 0;
-  std::uint64_t obs_successes_ = 0;
-  std::uint64_t obs_discards_ = 0;
-  std::uint64_t obs_restamps_ = 0;
-  // Deadline-loss attribution (always on -- the classification is pure
-  // observation and feeds the cached sweep payloads). Window engines:
-  // window-stamp spans of every collided probe; a purged message whose
-  // stamp lies in a collided span reached the channel and lost
-  // (collision_killed), otherwise the window never admitted it in time
-  // (admission_starved). Probability engines: message ids that ever
-  // transmitted into a collision (collision_killed at purge); the rest
-  // aged out in queue (queue_expired -- ALOHA has no admission control).
-  // Pruned against the discard cutoff / erased on success, so both stay
-  // bounded by the live backlog.
-  std::uint64_t obs_admission_starved_ = 0;
-  std::uint64_t obs_collision_killed_ = 0;
-  std::uint64_t obs_queue_expired_ = 0;
-  tcw::IntervalSet collided_spans_;
-  std::unordered_set<std::uint64_t> collided_ids_;
-  // Scratch: (message id, arrival) of the current Probability slot's
-  // transmitters, reused across slots.
-  std::vector<std::pair<std::uint64_t, double>> tx_scratch_;
-  // Multi-channel state; empty/disengaged in single-channel runs.
-  std::vector<McLane> mc_lanes_;
+  std::vector<Lane> lanes_;  // one per channel; lane 0 is the C = 1 channel
+  // Routing state; engaged only when mac.channel.channels > 1 (C = 1
+  // never consults a selector, preserving stream bit-identity).
   std::optional<ChannelSelector> selector_;
+  // Scratch per-lane views for ChannelSelector::route.
   std::vector<double> lane_now_scratch_;
   std::vector<double> lane_busy_scratch_;
   std::vector<std::uint64_t> lane_load_scratch_;

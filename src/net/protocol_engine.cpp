@@ -65,10 +65,6 @@ class WindowEngine final : public ProtocolEngine {
         static_cast<const WindowEngine&>(other).controller_);
   }
 
-  const core::WindowController* window_controller() const override {
-    return &controller_;
-  }
-
  private:
   core::WindowController controller_;
 };

@@ -176,12 +176,6 @@ class ProtocolEngine {
   /// Structural equality of protocol state, for the distributed-
   /// consistency audits. Engines of different kinds never compare equal.
   virtual bool state_equals(const ProtocolEngine& other) const = 0;
-
-  /// The wrapped window controller, or nullptr for non-window engines
-  /// (compatibility surface for callers that inspect controller state).
-  virtual const core::WindowController* window_controller() const {
-    return nullptr;
-  }
 };
 
 /// The stream seed an engine's protocol-shared randomness runs on. Engine

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "analysis/splitting.hpp"
@@ -144,6 +145,41 @@ TEST(AggregateSim, WaitHistogramRecordsDeliveredMessages) {
   const SimMetrics& m = sim.run();
   ASSERT_TRUE(m.wait_hist_enabled);
   EXPECT_EQ(m.wait_hist.total(), m.wait_all.count());
+}
+
+// Non-finite clock knobs used to pass construction: t_end = +inf never ends
+// the slot loop, and a NaN overhead, infinite message length or infinite
+// slot jitter turns the clock into NaN/inf, quietly truncating the run.
+TEST(AggregateSim, RejectsNonFiniteOrNegativeClockKnobs) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto construct = [](auto mutate) {
+    AggregateConfig cfg = base_config(100.0, 50.0);
+    mutate(cfg);
+    AggregateSimulator sim(cfg, poisson(0.02));
+  };
+  EXPECT_THROW(construct([&](AggregateConfig& c) { c.t_end = inf; }),
+               tcw::ContractViolation);
+  EXPECT_THROW(construct([&](AggregateConfig& c) { c.t_end = nan; }),
+               tcw::ContractViolation);
+  EXPECT_THROW(
+      construct([&](AggregateConfig& c) { c.message_length = inf; }),
+      tcw::ContractViolation);
+  EXPECT_THROW(
+      construct([&](AggregateConfig& c) { c.success_overhead = nan; }),
+      tcw::ContractViolation);
+  EXPECT_THROW(
+      construct([&](AggregateConfig& c) { c.success_overhead = inf; }),
+      tcw::ContractViolation);
+  EXPECT_THROW(
+      construct([&](AggregateConfig& c) { c.success_overhead = -1.0; }),
+      tcw::ContractViolation);
+  EXPECT_THROW(construct([&](AggregateConfig& c) { c.slot_jitter = inf; }),
+               tcw::ContractViolation);
+  EXPECT_THROW(construct([&](AggregateConfig& c) { c.slot_jitter = nan; }),
+               tcw::ContractViolation);
+  EXPECT_NO_THROW(
+      construct([&](AggregateConfig& c) { c.slot_jitter = 0.5; }));
 }
 
 TEST(AggregateSim, RunTwiceRejected) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "net/aggregate_sim.hpp"
@@ -125,6 +126,36 @@ TEST(Network, DeliveredRespectDeadline) {
 TEST(Network, StationCountAccessor) {
   auto net = Network::homogeneous_poisson(base_config(100.0, 50.0), 7, 0.02);
   EXPECT_EQ(net.station_count(), 7u);
+}
+
+// Non-finite clock knobs used to pass construction: t_end = +inf never ends
+// the slot loop, and a NaN overhead or infinite message length turns the
+// clock into NaN/inf after the first success, quietly truncating the run.
+TEST(Network, RejectsNonFiniteOrNegativeClockKnobs) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto construct = [](auto mutate) {
+    NetworkConfig cfg = base_config(100.0, 50.0);
+    mutate(cfg);
+    Network net(cfg);
+  };
+  EXPECT_THROW(construct([&](NetworkConfig& c) { c.t_end = inf; }),
+               tcw::ContractViolation);
+  EXPECT_THROW(construct([&](NetworkConfig& c) { c.t_end = nan; }),
+               tcw::ContractViolation);
+  EXPECT_THROW(construct([&](NetworkConfig& c) { c.message_length = inf; }),
+               tcw::ContractViolation);
+  EXPECT_THROW(construct([&](NetworkConfig& c) { c.message_length = nan; }),
+               tcw::ContractViolation);
+  EXPECT_THROW(construct([&](NetworkConfig& c) { c.success_overhead = nan; }),
+               tcw::ContractViolation);
+  EXPECT_THROW(construct([&](NetworkConfig& c) { c.success_overhead = inf; }),
+               tcw::ContractViolation);
+  EXPECT_THROW(
+      construct([&](NetworkConfig& c) { c.success_overhead = -1.0; }),
+      tcw::ContractViolation);
+  EXPECT_NO_THROW(
+      construct([&](NetworkConfig& c) { c.success_overhead = 0.0; }));
 }
 
 TEST(Network, RunTwiceRejected) {
