@@ -7,7 +7,7 @@
 // Runs as two named sweeps ("discard"/"nodiscard") on one
 // exec::SweepScheduler job graph; both arms share derived seeds per K
 // (common random numbers), and the consolidated engine report/BENCH_JSON
-// comes from the shared fig7_common plumbing.
+// comes from the shared study runner plumbing.
 #include <cstdio>
 #include <iostream>
 #include <vector>
@@ -15,8 +15,8 @@
 #include "analysis/splitting.hpp"
 #include "exec/sweep_scheduler.hpp"
 #include "exec/thread_pool.hpp"
-#include "fig7_common.hpp"
 #include "net/experiment.hpp"
+#include "study.hpp"
 #include "util/csv.hpp"
 #include "util/flags.hpp"
 #include "util/strings.hpp"
@@ -71,14 +71,14 @@ int main(int argc, char** argv) {
            [width](double k) {
              return tcw::core::ControlPolicy::optimal(k, width);
            }},
-      {.scheduler = &scheduler, .name = "discard"});
+      {.scheduler = &scheduler, .name = "discard", .cache = {}});
   const auto without_discard = tcw::net::run_sweep(
       {.config = sweep, .constraints = grid,
        .make_policy =
            [width](double k) {
              return tcw::core::ControlPolicy::fcfs_baseline(k, width);
            }},
-      {.scheduler = &scheduler, .name = "nodiscard"});
+      {.scheduler = &scheduler, .name = "nodiscard", .cache = {}});
   tcw::bench::run_scheduler_with_report(scheduler, "ablation_discard");
 
   const auto with_points = with_discard.points();

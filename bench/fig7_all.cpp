@@ -1,11 +1,8 @@
 // All six Figure-7 panels as ONE job graph: every (panel, variant,
 // K-point, replication) shard runs on a single shared thread pool with
-// cross-sweep work stealing, instead of seven binaries each churning
-// transient pools. Panel CSVs are byte-identical to the standalone
-// binaries' output at the same seed, for any --threads value; the
-// consolidated BENCH_JSON reports per-sweep and total wall clock,
-// jobs/sec and worker utilization, and (with --baseline, the default)
-// the sequential per-pool wall clock it replaces.
+// cross-sweep work stealing. Panel CSVs are bit-identical for any
+// --threads value; the consolidated BENCH_JSON reports per-sweep and
+// total wall clock, jobs/sec and worker utilization.
 //
 //   $ ./fig7_all --reps 2 --threads 0 --csv-dir results
 #include "fig7_common.hpp"
@@ -28,9 +25,6 @@ int main(int argc, char** argv) {
             "shrink run length for smoke testing");
   flags.add("csv-dir", &suite.csv_dir,
             "directory for the per-panel CSVs (<panel>.csv)");
-  flags.add("baseline", &suite.baseline,
-            "also run the panels sequentially with per-sweep pools, "
-            "verify bit-identical outputs, and report both wall clocks");
   tcw::bench::register_obs_flags(flags, suite.base.obs);
   if (!flags.parse(argc, argv)) return 1;
   return tcw::bench::run_fig7_suite(suite);

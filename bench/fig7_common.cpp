@@ -1,6 +1,5 @@
 #include "fig7_common.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
@@ -10,27 +9,14 @@
 #include "analysis/splitting.hpp"
 #include "exec/sweep_scheduler.hpp"
 #include "exec/thread_pool.hpp"
+#include "study.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/csv.hpp"
 #include "util/strings.hpp"
 
 namespace tcw::bench {
 
-void register_fig7_flags(Flags& flags, Fig7Options& opts) {
-  flags.add("rho", &opts.offered_load, "offered load rho' = lambda*M");
-  flags.add("m", &opts.message_length,
-            "message length M in units of the propagation delay");
-  flags.add("t-end", &opts.t_end, "simulated slots per replication");
-  flags.add("warmup", &opts.warmup, "warmup slots excluded from statistics");
-  flags.add("reps", &opts.replications, "independent replications per point");
-  flags.add("seed", &opts.seed, "base RNG seed");
-  flags.add("threads", &opts.threads,
-            "sweep worker threads (0 = all hardware threads); results are "
-            "bit-identical for any value");
-  flags.add("csv", &opts.csv, "CSV output path (default: <panel>.csv)");
-  flags.add("quick", &opts.quick, "shrink run length for smoke testing");
-  register_obs_flags(flags, opts.obs);
-}
+namespace {
 
 Fig7Options with_quick_applied(const Fig7Options& opts) {
   Fig7Options o = opts;
@@ -51,8 +37,6 @@ const std::vector<Fig7PanelSpec>& fig7_panels() {
   return panels;
 }
 
-namespace {
-
 std::vector<double> panel_grid(const Fig7Options& o) {
   std::vector<double> grid;
   grid.reserve(o.k_over_m.size());
@@ -72,59 +56,56 @@ net::SweepConfig sweep_config_from(const Fig7Options& o) {
   return sweep;
 }
 
-}  // namespace
+// One panel's three variant sweeps on the suite's scheduler; their
+// points are valid once the scheduler has run.
+struct PanelRun {
+  std::string name;
+  Fig7Options opts;  // quick-resolved, with this panel's rho' and M
+  std::vector<double> grid;
+  net::ScheduledSweep controlled;
+  net::ScheduledSweep fcfs;
+  net::ScheduledSweep lcfs;
+};
 
-Fig7PanelJob::Fig7PanelJob(std::vector<double> grid,
-                           net::ScheduledSweep controlled,
-                           net::ScheduledSweep fcfs, net::ScheduledSweep lcfs)
-    : grid_(std::move(grid)),
-      controlled_(std::move(controlled)),
-      fcfs_(std::move(fcfs)),
-      lcfs_(std::move(lcfs)) {}
-
-Fig7PanelSim Fig7PanelJob::collect() const {
-  Fig7PanelSim sim;
-  sim.grid = grid_;
-  sim.controlled = controlled_.points();
-  sim.fcfs = fcfs_.points();
-  sim.lcfs = lcfs_.points();
-  return sim;
-}
-
-Fig7PanelJob schedule_fig7_panel(exec::SweepScheduler& scheduler,
-                                 const std::string& panel_name,
-                                 const Fig7Options& opts, ObsSession* obs) {
-  const Fig7Options o = with_quick_applied(opts);
+// Register one panel's controlled/FCFS/LCFS sweeps (named
+// "<panel>/<variant>") on `scheduler`. Each sweep gets a kernel capture
+// (under --flight-out / --series-out) and feeds the deadline-loss
+// attribution report.
+PanelRun schedule_panel(exec::SweepScheduler& scheduler,
+                        const std::string& panel_name, const Fig7Options& o,
+                        ObsSession& obs) {
   std::vector<double> grid = panel_grid(o);
-  const net::SweepConfig sweep = sweep_config_from(o);
-  // One variant's sweep, with the obs session's kernel capture attached
-  // (and the sweep tracked for attribution) when one was handed in.
   const auto schedule_variant = [&](const std::string& variant,
                                     net::ProtocolVariant kind) {
-    const std::string name = panel_name + "/" + variant;
-    net::SweepConfig cfg = sweep;
-    if (obs != nullptr && obs->wants_capture()) {
-      cfg.capture_request.capture = obs->make_capture(name, cfg.base_seed);
+    net::SweepRequest request;
+    request.config = sweep_config_from(o);
+    request.constraints = grid;
+    request.variant = kind;
+    net::SweepBindings bindings;
+    bindings.scheduler = &scheduler;
+    bindings.name = panel_name + "/" + variant;
+    if (obs.wants_capture()) {
+      request.config.capture_request.capture =
+          obs.make_capture(bindings.name, request.config.base_seed);
     }
-    net::ScheduledSweep handle =
-        net::run_sweep({.config = cfg, .constraints = grid, .variant = kind},
-                       {.scheduler = &scheduler, .name = name});
-    if (obs != nullptr) obs->track_sweep(name, handle);
+    net::ScheduledSweep handle = net::run_sweep(request, bindings);
+    obs.track_sweep(bindings.name, handle);
     return handle;
   };
   auto controlled =
       schedule_variant("controlled", net::ProtocolVariant::Controlled);
   auto fcfs = schedule_variant("fcfs", net::ProtocolVariant::FcfsNoDiscard);
   auto lcfs = schedule_variant("lcfs", net::ProtocolVariant::LcfsNoDiscard);
-  return Fig7PanelJob(std::move(grid), std::move(controlled),
-                      std::move(fcfs), std::move(lcfs));
+  return PanelRun{panel_name, o, std::move(grid), std::move(controlled),
+                  std::move(fcfs), std::move(lcfs)};
 }
 
-int render_fig7_panel(const std::string& panel_name, const Fig7Options& o,
-                      const Fig7PanelSim& sim,
-                      const net::SweepTiming* engine_timing) {
+// Print one panel's table, plot and shape checks, and write its CSV.
+// Returns the process exit code contribution.
+int render_panel(const PanelRun& run, const std::string& csv_path) {
+  const Fig7Options& o = run.opts;
   std::printf("== %s: controlled window protocol, rho'=%.2f M=%.0f ==\n",
-              panel_name.c_str(), o.offered_load, o.message_length);
+              run.name.c_str(), o.offered_load, o.message_length);
   std::printf("   (loss vs. time constraint K; K in slots of the channel\n"
               "    propagation delay tau; sim uses true waiting times)\n\n");
 
@@ -132,7 +113,10 @@ int render_fig7_panel(const std::string& panel_name, const Fig7Options& o,
   model.offered_load = o.offered_load;
   model.message_length = o.message_length;
 
-  const std::vector<double>& grid = sim.grid;
+  const std::vector<double>& grid = run.grid;
+  const std::vector<net::SweepPoint> ctrl = run.controlled.points();
+  const std::vector<net::SweepPoint> fcfs = run.fcfs.points();
+  const std::vector<net::SweepPoint> lcfs = run.lcfs.points();
   const auto analytic = analysis::controlled_loss_curve(model, grid);
 
   Table table({"K", "K_over_M", "ctrl_analytic", "ctrl_sim", "ctrl_ci95",
@@ -146,14 +130,14 @@ int render_fig7_panel(const std::string& panel_name, const Fig7Options& o,
     table.add_row({format_fixed(grid[i], 1),
                    format_fixed(grid[i] / o.message_length, 2),
                    format_fixed(analytic[i].p_loss, 5),
-                   format_fixed(sim.controlled[i].p_loss, 5),
-                   format_fixed(sim.controlled[i].ci95, 5),
+                   format_fixed(ctrl[i].p_loss, 5),
+                   format_fixed(ctrl[i].ci95, 5),
                    format_fixed(fcfs_analytic, 5),
-                   format_fixed(sim.fcfs[i].p_loss, 5),
+                   format_fixed(fcfs[i].p_loss, 5),
                    format_fixed(lcfs_analytic, 5),
-                   format_fixed(sim.lcfs[i].p_loss, 5),
-                   format_fixed(sim.controlled[i].mean_scheduling, 3),
-                   format_fixed(sim.controlled[i].utilization, 4)});
+                   format_fixed(lcfs[i].p_loss, 5),
+                   format_fixed(ctrl[i].mean_scheduling, 3),
+                   format_fixed(ctrl[i].utilization, 4)});
   }
   table.write_pretty(std::cout);
 
@@ -165,9 +149,9 @@ int render_fig7_panel(const std::string& panel_name, const Fig7Options& o,
   series[3] = {"lcfs (sim)", 'l', {}};
   for (std::size_t i = 0; i < grid.size(); ++i) {
     series[0].y.push_back(analytic[i].p_loss);
-    series[1].y.push_back(sim.controlled[i].p_loss);
-    series[2].y.push_back(sim.fcfs[i].p_loss);
-    series[3].y.push_back(sim.lcfs[i].p_loss);
+    series[1].y.push_back(ctrl[i].p_loss);
+    series[2].y.push_back(fcfs[i].p_loss);
+    series[3].y.push_back(lcfs[i].p_loss);
   }
   PlotOptions plot_opts;
   plot_opts.log_y = true;
@@ -179,14 +163,14 @@ int render_fig7_panel(const std::string& panel_name, const Fig7Options& o,
   int ctrl_beats_lcfs = 0;
   double worst_gap = 0.0;
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (sim.controlled[i].p_loss <= sim.fcfs[i].p_loss + 1e-9) {
+    if (ctrl[i].p_loss <= fcfs[i].p_loss + 1e-9) {
       ++ctrl_beats_fcfs;
     }
-    if (sim.controlled[i].p_loss <= sim.lcfs[i].p_loss + 1e-9) {
+    if (ctrl[i].p_loss <= lcfs[i].p_loss + 1e-9) {
       ++ctrl_beats_lcfs;
     }
     worst_gap = std::max(
-        worst_gap, std::abs(sim.controlled[i].p_loss - analytic[i].p_loss));
+        worst_gap, std::abs(ctrl[i].p_loss - analytic[i].p_loss));
   }
   std::printf("\nshape: controlled <= FCFS at %d/%zu points, "
               "controlled <= LCFS at %d/%zu points\n",
@@ -198,22 +182,6 @@ int render_fig7_panel(const std::string& panel_name, const Fig7Options& o,
               analysis::optimal_window_load(),
               sweep_config_from(o).heuristic_window_width());
 
-  if (engine_timing != nullptr) {
-    std::printf("sweep engine: threads=%u jobs=%zu wall=%.3fs "
-                "jobs_per_sec=%.2f\n",
-                engine_timing->threads, engine_timing->jobs,
-                engine_timing->wall_seconds, engine_timing->jobs_per_second);
-    // Machine-readable timing line; the bench harness lifts it into the
-    // BENCH_*.json record for this panel.
-    std::printf("BENCH_JSON {\"panel\":\"%s\",\"threads\":%u,\"jobs\":%zu,"
-                "\"wall_seconds\":%.4f,\"jobs_per_sec\":%.2f}\n",
-                panel_name.c_str(), engine_timing->threads,
-                engine_timing->jobs, engine_timing->wall_seconds,
-                engine_timing->jobs_per_second);
-  }
-
-  const std::string csv_path =
-      o.csv.empty() ? panel_name + ".csv" : o.csv;
   if (table.save_csv(csv_path)) {
     std::printf("csv: %s\n\n", csv_path.c_str());
   } else {
@@ -223,93 +191,7 @@ int render_fig7_panel(const std::string& panel_name, const Fig7Options& o,
   return 0;
 }
 
-int run_fig7_panel(const std::string& panel_name, const Fig7Options& opts) {
-  const Fig7Options o = with_quick_applied(opts);
-  // Standalone panels have no scheduler: manifest only, no timeline.
-  ObsSession obs(panel_name, o.obs);
-  Fig7PanelSim sim;
-  sim.grid = panel_grid(o);
-  const net::SweepConfig sweep = sweep_config_from(o);
-
-  net::SweepTiming total;
-  net::SweepTiming timing;
-  const auto run_variant = [&](const std::string& variant,
-                               net::ProtocolVariant kind) {
-    const std::string name = panel_name + "/" + variant;
-    net::SweepConfig cfg = sweep;
-    if (obs.wants_capture()) {
-      cfg.capture_request.capture = obs.make_capture(name, cfg.base_seed);
-    }
-    net::ScheduledSweep handle = net::run_sweep(
-        {.config = cfg, .constraints = sim.grid, .variant = kind,
-         .timing = &timing});
-    obs.track_sweep(name, handle);
-    total.accumulate(timing);
-    return handle.points();
-  };
-  sim.controlled = run_variant("controlled", net::ProtocolVariant::Controlled);
-  sim.fcfs = run_variant("fcfs", net::ProtocolVariant::FcfsNoDiscard);
-  sim.lcfs = run_variant("lcfs", net::ProtocolVariant::LcfsNoDiscard);
-
-  int rc = render_fig7_panel(panel_name, o, sim, &total);
-  rc |= obs.finish(nullptr);
-  return rc;
-}
-
-int fig7_main(const std::string& panel_name, double rho, double m, int argc,
-              char** argv) {
-  Fig7Options opts;
-  opts.offered_load = rho;
-  opts.message_length = m;
-  Flags flags(panel_name, "Reproduce one panel of the paper's Figure 7");
-  register_fig7_flags(flags, opts);
-  if (!flags.parse(argc, argv)) return 1;
-  return run_fig7_panel(panel_name, opts);
-}
-
-namespace {
-
-bool points_identical(const std::vector<net::SweepPoint>& a,
-                      const std::vector<net::SweepPoint>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].constraint != b[i].constraint || a[i].p_loss != b[i].p_loss ||
-        a[i].ci95 != b[i].ci95 || a[i].mean_wait != b[i].mean_wait ||
-        a[i].mean_scheduling != b[i].mean_scheduling ||
-        a[i].utilization != b[i].utilization ||
-        a[i].sender_loss_frac != b[i].sender_loss_frac ||
-        a[i].receiver_loss_frac != b[i].receiver_loss_frac ||
-        a[i].messages != b[i].messages) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void print_scheduler_report(const exec::SchedulerReport& report,
-                            const std::string& suite) {
-  std::printf("== consolidated sweep scheduler report ==\n");
-  std::printf("threads=%u jobs=%zu wall=%.3fs jobs_per_sec=%.2f "
-              "worker_utilization=%.2f\n",
-              report.threads, report.shards, report.wall_seconds,
-              report.shards_per_second, report.worker_utilization);
-  for (const exec::SweepTimingEntry& s : report.sweeps) {
-    std::printf("  %-28s jobs=%3zu wall=%7.3fs busy=%7.3fs "
-                "jobs_per_sec=%.2f\n",
-                s.name.c_str(), s.shards, s.wall_seconds, s.busy_seconds,
-                s.shards_per_second);
-  }
-  std::printf("BENCH_JSON %s\n", report.bench_json(suite).c_str());
-}
-
 }  // namespace
-
-exec::SchedulerReport run_scheduler_with_report(
-    exec::SweepScheduler& scheduler, const std::string& suite) {
-  exec::SchedulerReport report = scheduler.run();
-  print_scheduler_report(report, suite);
-  return report;
-}
 
 int run_fig7_suite(const Fig7SuiteOptions& suite) {
   const std::vector<Fig7PanelSpec>& panels =
@@ -334,80 +216,21 @@ int run_fig7_suite(const Fig7SuiteOptions& suite) {
               "==\n\n",
               panels.size(), pool.size());
 
-  std::vector<Fig7Options> panel_opts;
-  std::vector<Fig7PanelJob> jobs;
-  panel_opts.reserve(panels.size());
-  jobs.reserve(panels.size());
+  std::vector<PanelRun> runs;
+  runs.reserve(panels.size());
   for (const Fig7PanelSpec& p : panels) {
     Fig7Options o = base;
     o.offered_load = p.offered_load;
     o.message_length = p.message_length;
-    o.csv = suite.csv_dir + "/" + p.name + ".csv";
-    jobs.push_back(schedule_fig7_panel(scheduler, p.name, o, &obs));
-    panel_opts.push_back(std::move(o));
+    runs.push_back(schedule_panel(scheduler, p.name, o, obs));
   }
 
-  const exec::SchedulerReport report = scheduler.run();
-
-  std::vector<Fig7PanelSim> sims;
-  sims.reserve(jobs.size());
-  for (const Fig7PanelJob& job : jobs) sims.push_back(job.collect());
+  const exec::SchedulerReport report =
+      run_scheduler_with_report(scheduler, "fig7_all");
 
   int rc = 0;
-  for (std::size_t i = 0; i < panels.size(); ++i) {
-    rc |= render_fig7_panel(panels[i].name, panel_opts[i], sims[i],
-                            /*engine_timing=*/nullptr);
-  }
-
-  print_scheduler_report(report, "fig7_all");
-
-  if (suite.baseline) {
-    // The pre-scheduler execution model: every sweep on its own transient
-    // pool, panels strictly one after another. Cross-check bit-equality
-    // and report both wall clocks.
-    const auto t0 = std::chrono::steady_clock::now();
-    bool identical = true;
-    for (std::size_t i = 0; i < panels.size(); ++i) {
-      const net::SweepConfig sweep = sweep_config_from(panel_opts[i]);
-      const std::vector<double>& grid = sims[i].grid;
-      identical &= points_identical(
-          sims[i].controlled,
-          net::run_sweep({.config = sweep, .constraints = grid,
-                          .variant = net::ProtocolVariant::Controlled})
-              .points());
-      identical &= points_identical(
-          sims[i].fcfs,
-          net::run_sweep({.config = sweep, .constraints = grid,
-                          .variant = net::ProtocolVariant::FcfsNoDiscard})
-              .points());
-      identical &= points_identical(
-          sims[i].lcfs,
-          net::run_sweep({.config = sweep, .constraints = grid,
-                          .variant = net::ProtocolVariant::LcfsNoDiscard})
-              .points());
-    }
-    const double sequential_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    const double speedup = report.wall_seconds > 0.0
-                               ? sequential_wall / report.wall_seconds
-                               : 0.0;
-    std::printf("baseline (sequential, per-sweep pools): wall=%.3fs, "
-                "scheduled wall=%.3fs, speedup=%.2fx, outputs identical: "
-                "%s\n",
-                sequential_wall, report.wall_seconds, speedup,
-                identical ? "yes" : "NO");
-    std::printf("BENCH_JSON {\"suite\":\"fig7_all_baseline\","
-                "\"sequential_wall_seconds\":%.4f,"
-                "\"scheduled_wall_seconds\":%.4f,\"speedup\":%.2f,"
-                "\"outputs_identical\":%s}\n",
-                sequential_wall, report.wall_seconds, speedup,
-                identical ? "true" : "false");
-    if (!identical) {
-      std::fprintf(stderr,
-                   "fig7_all: scheduled and standalone outputs differ\n");
-      rc = 1;
-    }
+  for (const PanelRun& run : runs) {
+    rc |= render_panel(run, suite.csv_dir + "/" + run.name + ".csv");
   }
   rc |= obs.finish(&report);
   return rc;

@@ -13,10 +13,10 @@
 #include "dist/families.hpp"
 #include "exec/sweep_scheduler.hpp"
 #include "exec/thread_pool.hpp"
-#include "fig7_common.hpp"
 #include "net/aggregate_sim.hpp"
 #include "net/experiment.hpp"
 #include "smdp/window_model.hpp"
+#include "study.hpp"
 #include "util/csv.hpp"
 #include "util/flags.hpp"
 #include "util/strings.hpp"
@@ -155,8 +155,8 @@ int main(int argc, char** argv) {
   tcw::exec::SweepScheduler scheduler(pool);
   const auto scheduled = tcw::net::run_sweep(
       {.config = sweep, .constraints = {24.0},
-       .variant = tcw::net::ProtocolVariant::Controlled},
-      {.scheduler = &scheduler, .name = "controlled_small_scale"});
+       .variant = tcw::net::ProtocolVariant::Controlled, .make_policy = {}},
+      {.scheduler = &scheduler, .name = "controlled_small_scale", .cache = {}});
   tcw::bench::run_scheduler_with_report(scheduler, "model_validation");
   const auto sim = scheduled.points();
 

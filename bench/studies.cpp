@@ -2,8 +2,7 @@
 // the declarative registry + exec::SweepScheduler, plus the policy_grid
 // MAC showdown. Each migrated study keeps the exact parameter defaults,
 // quick-mode shrinks, table schemas, and CSV columns of the standalone
-// binary it replaces; the per-bench shims now just call run_study_main
-// with the study's name.
+// binary it replaced; every study runs as `study_tool <name>`.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>

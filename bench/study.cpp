@@ -8,7 +8,6 @@
 #include "exec/shard_gate.hpp"
 #include "exec/sweep_scheduler.hpp"
 #include "exec/thread_pool.hpp"
-#include "fig7_common.hpp"
 #include "study_dist.hpp"
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
@@ -201,6 +200,24 @@ void print_cache_report(const std::string& study, const StudyContext& ctx) {
   }
 }
 
+exec::SchedulerReport run_scheduler_with_report(
+    exec::SweepScheduler& scheduler, const std::string& suite) {
+  exec::SchedulerReport report = scheduler.run();
+  std::printf("== consolidated sweep scheduler report ==\n");
+  std::printf("threads=%u jobs=%zu wall=%.3fs jobs_per_sec=%.2f "
+              "worker_utilization=%.2f\n",
+              report.threads, report.shards, report.wall_seconds,
+              report.shards_per_second, report.worker_utilization);
+  for (const exec::SweepTimingEntry& s : report.sweeps) {
+    std::printf("  %-28s jobs=%3zu wall=%7.3fs busy=%7.3fs "
+                "jobs_per_sec=%.2f\n",
+                s.name.c_str(), s.shards, s.wall_seconds, s.busy_seconds,
+                s.shards_per_second);
+  }
+  std::printf("BENCH_JSON %s\n", report.bench_json(suite).c_str());
+  return report;
+}
+
 namespace {
 
 std::unique_ptr<exec::ShardCache> open_cache(const StudyCommonOptions& o,
@@ -232,8 +249,8 @@ int run_configured(const StudyEntry& entry, Study& study,
   return rc;
 }
 
-}  // namespace
-
+// `study_tool <study> [flags...]`: parse the study's own flags plus the
+// common ones, then run it on its own scheduler.
 int run_study_main(const std::string& name, int argc,
                    const char* const* argv) {
   const StudyEntry* entry = find_study(name);
@@ -250,6 +267,8 @@ int run_study_main(const std::string& name, int argc,
   if (!flags.parse(argc, argv)) return 1;
   return run_configured(*entry, *study, common);
 }
+
+}  // namespace
 
 int run_study(const std::string& name, const StudyCommonOptions& common,
               const std::vector<std::string>& extra_argv) {

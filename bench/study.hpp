@@ -2,8 +2,8 @@
 // -- named sweeps, grids, policy factories, a CSV schema -- driven by one
 // generic runner instead of a hand-rolled main() per binary.
 //
-// A study's life cycle has three phases, all orchestrated by
-// run_study_main / run_study_suite:
+// A study's life cycle has three phases, all orchestrated by the runner
+// behind `study_tool <study>` and `study_tool --suite`:
 //   1. register_flags(): declare the study-specific overrides (the runner
 //      registers the common ones: --threads, --quick, --csv, --cache-dir,
 //      --resume).
@@ -15,9 +15,9 @@
 //      resumable (--resume) with byte-identical CSVs.
 //   3. render(): after the scheduler ran, print tables and write the CSV.
 //
-// The same Study instances back both the per-study shim binaries
-// (ablation_theorem1 etc., kept for compatibility) and study_tool, whose
-// --suite mode schedules every registered study on ONE scheduler/pool.
+// study_tool is the one driver: `study_tool <study>` runs one study on
+// its own scheduler, and --suite schedules every selected study on ONE
+// scheduler/pool, with byte-identical CSVs either way.
 #pragma once
 
 #include <cstdint>
@@ -34,13 +34,14 @@ namespace tcw::exec {
 class ShardCache;
 class ShardGate;
 class SweepScheduler;
+struct SchedulerReport;
 }  // namespace tcw::exec
 
 namespace tcw::bench {
 
 /// Static description of one registered study.
 struct StudySpec {
-  std::string name;         ///< registry key == shim binary name
+  std::string name;         ///< registry key == `study_tool <name>`
   std::string summary;      ///< one line, for --list / flags / README
   std::string figure;       ///< the paper claim it probes (README table)
   std::string default_csv;  ///< default CSV output path
@@ -213,10 +214,6 @@ std::string study_store_path(const std::string& cache_dir,
 /// record) and feed the manifest collector. No-op without a cache.
 void print_cache_report(const std::string& study, const StudyContext& ctx);
 
-/// Standalone driver: the whole main() body of a per-study shim binary.
-int run_study_main(const std::string& name, int argc,
-                   const char* const* argv);
-
 /// Embedding variant (tests): run one study with pre-resolved options,
 /// no flag parsing. `extra_argv` is forwarded to the study's own flags.
 int run_study(const std::string& name, const StudyCommonOptions& common,
@@ -226,6 +223,13 @@ int run_study(const std::string& name, const StudyCommonOptions& common,
 /// render each. The runner behind `study_tool --suite`.
 int run_study_suite(const StudyCommonOptions& common,
                     const std::vector<std::string>& names = {});
+
+/// Run a populated scheduler and print the consolidated per-sweep timing
+/// report plus the `BENCH_JSON {"suite":"<suite>",...}` line. The shared
+/// reporting tail of every scheduled driver (study_tool, fig7_all,
+/// ablation_discard, model_validation).
+exec::SchedulerReport run_scheduler_with_report(
+    exec::SweepScheduler& scheduler, const std::string& suite);
 
 /// The study_tool main() body: --list | --markdown | --suite | <study>.
 int study_tool_main(int argc, const char* const* argv);

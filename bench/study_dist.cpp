@@ -20,7 +20,6 @@
 #include "exec/shard_cache.hpp"
 #include "exec/sweep_scheduler.hpp"
 #include "exec/thread_pool.hpp"
-#include "fig7_common.hpp"
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
 #include "obs/registry.hpp"
@@ -461,7 +460,7 @@ int run_study_merge(const StudyCommonOptions& common, const DistOptions& dist,
 
   // Single-study merges take the study's name as the run label so the
   // flight report is byte-identical to the single-process run's
-  // (flight_smoke.sh leg c); multi-study merges keep the generic label.
+  // (overlay_smoke.sh leg c); multi-study merges keep the generic label.
   ObsSession obs(entries.size() == 1 ? entries[0]->spec.name : "study_merge",
                  common.obs);
   // A suite-wide --csv only makes sense for a single study (merge renders

@@ -44,7 +44,8 @@ int main(int argc, char** argv) {
   tcw::Table table({"K", "controlled(sim)", "controlled(eq4.7)",
                     "fcfs", "lcfs", "random"});
   const auto run = [&](tcw::net::ProtocolVariant v) {
-    return tcw::net::run_sweep({.config = cfg, .constraints = grid, .variant = v})
+    return tcw::net::run_sweep({.config = cfg, .constraints = grid,
+                                .variant = v, .make_policy = {}})
         .points();
   };
   const auto ctrl = run(tcw::net::ProtocolVariant::Controlled);

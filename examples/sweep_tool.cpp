@@ -6,110 +6,17 @@
 //   $ ./sweep_tool --variant controlled --rho 0.6 --m 25
 //         --k-min 25 --k-max 400 --points 8 --csv out.csv
 //
-// With --suite, all four variants run together as one job graph on a
-// shared thread pool (cross-variant work stealing), writing one CSV per
-// variant plus a consolidated BENCH_JSON report; each variant's numbers
-// are bit-identical to its standalone run at the same seed.
+// It takes an arbitrary rho'/M/K grid for one variant; the paper's
+// Figure 7 is fig7_all and the registered studies are study_tool.
 #include <cstdio>
 #include <iostream>
-#include <vector>
 
 #include "analysis/loss_model.hpp"
-#include "exec/sweep_scheduler.hpp"
-#include "exec/thread_pool.hpp"
 #include "net/experiment.hpp"
 #include "obs_support.hpp"
 #include "util/csv.hpp"
 #include "util/flags.hpp"
 #include "util/strings.hpp"
-
-namespace {
-
-// "out.csv" + "fcfs" -> "out_fcfs.csv"; no .csv suffix -> append.
-std::string variant_csv_path(const std::string& base,
-                             const std::string& variant) {
-  const std::string ext = ".csv";
-  if (base.size() > ext.size() &&
-      base.compare(base.size() - ext.size(), ext.size(), ext) == 0) {
-    return base.substr(0, base.size() - ext.size()) + "_" + variant + ext;
-  }
-  return base + "_" + variant + ext;
-}
-
-int run_suite(const tcw::net::SweepConfig& cfg,
-              const std::vector<double>& grid, long long threads,
-              const std::string& csv, const tcw::bench::ObsOptions& obs_opts) {
-  struct VariantSpec {
-    const char* name;
-    tcw::net::ProtocolVariant variant;
-  };
-  const std::vector<VariantSpec> variants = {
-      {"controlled", tcw::net::ProtocolVariant::Controlled},
-      {"fcfs", tcw::net::ProtocolVariant::FcfsNoDiscard},
-      {"lcfs", tcw::net::ProtocolVariant::LcfsNoDiscard},
-      {"random", tcw::net::ProtocolVariant::RandomNoDiscard},
-  };
-
-  tcw::bench::ObsSession obs("sweep_suite", obs_opts);
-  tcw::exec::ThreadPool pool(
-      tcw::exec::resolve_threads(static_cast<int>(threads)));
-  tcw::exec::SweepScheduler scheduler(pool);
-  obs.attach(scheduler);
-  std::vector<tcw::net::ScheduledSweep> handles;
-  handles.reserve(variants.size());
-  for (const VariantSpec& v : variants) {
-    handles.push_back(tcw::net::run_sweep(
-        {.config = cfg, .constraints = grid, .variant = v.variant},
-        {.scheduler = &scheduler, .name = v.name}));
-  }
-  const auto report = scheduler.run();
-
-  std::vector<std::vector<tcw::net::SweepPoint>> points;
-  points.reserve(handles.size());
-  for (const auto& h : handles) points.push_back(h.points());
-
-  std::printf("suite: all variants on one shared pool (%zu workers)\n\n",
-              pool.size());
-  tcw::Table summary({"K", "controlled", "fcfs", "lcfs", "random"});
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    summary.add_row({tcw::format_fixed(grid[i], 1),
-                     tcw::format_fixed(points[0][i].p_loss, 5),
-                     tcw::format_fixed(points[1][i].p_loss, 5),
-                     tcw::format_fixed(points[2][i].p_loss, 5),
-                     tcw::format_fixed(points[3][i].p_loss, 5)});
-  }
-  summary.write_pretty(std::cout);
-
-  for (std::size_t v = 0; v < variants.size(); ++v) {
-    tcw::Table table({"K", "p_loss", "ci95", "mean_wait", "sched",
-                      "utilization"});
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      const tcw::net::SweepPoint& p = points[v][i];
-      table.add_row({tcw::format_fixed(grid[i], 1),
-                     tcw::format_fixed(p.p_loss, 5),
-                     tcw::format_fixed(p.ci95, 5),
-                     tcw::format_fixed(p.mean_wait, 2),
-                     tcw::format_fixed(p.mean_scheduling, 3),
-                     tcw::format_fixed(p.utilization, 4)});
-    }
-    const std::string path = variant_csv_path(csv, variants[v].name);
-    if (!table.save_csv(path)) {
-      std::fprintf(stderr, "failed to write %s\n", path.c_str());
-      return 1;
-    }
-    std::printf("csv: %s\n", path.c_str());
-  }
-
-  std::printf("\nsweep scheduler: threads=%u jobs=%zu wall=%.3fs "
-              "jobs_per_sec=%.2f worker_utilization=%.2f\n",
-              report.threads, report.shards, report.wall_seconds,
-              report.shards_per_second, report.worker_utilization);
-  std::printf("BENCH_JSON %s\n",
-              report.bench_json("sweep_suite").c_str());
-  return obs.finish(&report);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string variant_name = "controlled";
@@ -124,15 +31,11 @@ int main(int argc, char** argv) {
   long long threads = 0;
   std::string csv = "sweep.csv";
   bool with_analytic = true;
-  bool suite = false;
   tcw::bench::ObsOptions obs_opts;
 
   tcw::Flags flags("sweep_tool", "Sweep p(loss) vs K for any variant");
   flags.add("variant", &variant_name,
             "controlled | fcfs | lcfs | random");
-  flags.add("suite", &suite,
-            "sweep ALL variants as one scheduled job graph on a shared "
-            "pool; writes one CSV per variant");
   flags.add("rho", &rho, "offered load rho' = lambda*M");
   flags.add("m", &m, "message length M in slots");
   flags.add("k-min", &k_min, "smallest time constraint");
@@ -158,7 +61,7 @@ int main(int argc, char** argv) {
     variant = tcw::net::ProtocolVariant::LcfsNoDiscard;
   } else if (variant_name == "random") {
     variant = tcw::net::ProtocolVariant::RandomNoDiscard;
-  } else if (!suite) {
+  } else {
     std::fprintf(stderr, "unknown variant '%s'\n", variant_name.c_str());
     return 1;
   }
@@ -174,17 +77,17 @@ int main(int argc, char** argv) {
 
   const auto grid = tcw::net::linear_grid(k_min, k_max,
                                           static_cast<std::size_t>(points));
-  if (suite) return run_suite(cfg, grid, threads, csv, obs_opts);
 
   // Standalone sweeps run on a transient pool inside run_sweep: manifest
   // only, no scheduler timeline.
   tcw::bench::ObsSession obs("sweep_tool", obs_opts);
   tcw::net::SweepTiming timing;
-  const auto pts = tcw::net::run_sweep({.config = cfg,
-                                        .constraints = grid,
-                                        .variant = variant,
-                                        .timing = &timing})
-                       .points();
+  tcw::net::SweepRequest request;
+  request.config = cfg;
+  request.constraints = grid;
+  request.variant = variant;
+  request.timing = &timing;
+  const auto pts = tcw::net::run_sweep(request).points();
 
   tcw::analysis::ProtocolModelConfig model;
   model.offered_load = rho;

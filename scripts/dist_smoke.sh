@@ -6,10 +6,10 @@
 #   (a) 1 worker (--drain) then --merge,
 #   (b) 4 sequential partitioned workers (--no-steal) then --merge,
 #   (c) 4 concurrent worker processes (stealing on) then --merge,
-# plus a crash leg at a heavier scale: a worker is SIGKILLed mid-run
-# (leases left behind, possibly a torn store segment), a fresh worker
-# drains the rest after the stale window, and the merge must still be
-# byte-identical. Also asserts the --progress cluster row under a
+# plus a crash leg at a heavier scale: a worker is SIGKILLed as soon as it
+# holds its first lease (leases left behind, possibly a torn store
+# segment), a fresh worker drains the rest after the stale window, and
+# the merge must still be byte-identical. Also asserts the --progress cluster row under a
 # distributed run and emits a dist baseline BENCH_JSON comparing the
 # 1-worker and 4-worker wall clocks.
 # Usage: dist_smoke.sh <study_tool-binary> <scratch-dir>.
@@ -78,21 +78,37 @@ for study in policy_grid ablation_window_size; do
        }' | tee -a dist_baseline.log
 done
 
-# Crash leg: heavy enough that SIGKILL lands mid-run (~2s of shards).
+# Crash leg: heavy enough (~2s of shards) that the run is still going when
+# the first lease appears.
 study=ablation_window_size
 args=(--t-end=2000000 --reps=2)
 echo "-- dist smoke [crash]: single-process reference at crash-leg scale"
 "$tool" "$study" "${args[@]}" --csv=crash_single.csv \
     >crash_single.log 2>&1
 
-echo "-- dist smoke [crash]: worker 0/2 SIGKILLed mid-run"
+echo "-- dist smoke [crash]: worker 0/2 SIGKILLed once it holds a lease"
 "$tool" --worker 0/2 --cache-dir=crash --heartbeat-seconds=0.1 \
     --lease-stale-seconds=0.5 "${args[@]}" "$study" \
     >crash_w0.log 2>&1 &
 victim=$!
-sleep 0.6
+# Kill as soon as the worker's first lease file appears, so the kill
+# lands mid-run however fast the host is (poll every 10 ms, up to 30 s).
+leased=0
+for _ in $(seq 3000); do
+  if compgen -G "crash/leases/*.lease" >/dev/null; then
+    leased=1
+    break
+  fi
+  kill -0 "$victim" 2>/dev/null || break
+  sleep 0.01
+done
 kill -9 "$victim" 2>/dev/null || true
 wait "$victim" 2>/dev/null || true
+if [ "$leased" -eq 0 ]; then
+  echo "dist smoke FAILED: worker 0/2 never held a lease before it" \
+       "exited or the 30 s poll ran out" >&2
+  exit 1
+fi
 
 echo "-- dist smoke [crash]: replacement worker drains after stale window"
 sleep 0.6

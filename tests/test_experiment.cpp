@@ -26,12 +26,12 @@ net::SweepConfig quick_config() {
   return cfg;
 }
 
-// Every sweep in this file drives the single entry point; the shim
-// compatibility test below is the one deliberate exception.
+// Every sweep in this file drives the single entry point, net::run_sweep.
 std::vector<net::SweepPoint> sweep(const net::SweepConfig& cfg,
                                    net::ProtocolVariant v,
                                    const std::vector<double>& grid) {
-  return net::run_sweep({.config = cfg, .constraints = grid, .variant = v})
+  return net::run_sweep({.config = cfg, .constraints = grid, .variant = v,
+                         .make_policy = {}})
       .points();
 }
 

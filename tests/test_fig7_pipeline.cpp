@@ -1,9 +1,9 @@
-// End-to-end test of the Figure-7 reproduction pipeline itself (the bench
-// driver library): a quick panel must run, satisfy the paper's dominance
-// shape, and emit a well-formed CSV.
+// End-to-end test of the Figure-7 reproduction pipeline itself (the
+// fig7_all driver library): a quick one-panel suite must run and emit a
+// well-formed CSV, and the panel CSVs must be byte-identical for any
+// thread count.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -12,17 +12,24 @@
 
 namespace {
 
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
 TEST(Fig7Pipeline, QuickPanelRunsAndWritesCsv) {
-  tcw::bench::Fig7Options opts;
-  opts.offered_load = 0.5;
-  opts.message_length = 25.0;
-  opts.quick = true;
-  opts.k_over_m = {1.0, 2.0, 4.0};
-  opts.csv = ::testing::TempDir() + "/tcw_fig7_test.csv";
+  tcw::bench::Fig7SuiteOptions suite;
+  suite.base.quick = true;
+  suite.base.k_over_m = {1.0, 2.0, 4.0};
+  suite.panels = {{"fig7_test_panel", 0.5, 25.0}};
+  suite.csv_dir = ::testing::TempDir() + "/tcw_fig7_quick";
 
-  EXPECT_EQ(tcw::bench::run_fig7_panel("fig7_test_panel", opts), 0);
+  EXPECT_EQ(tcw::bench::run_fig7_suite(suite), 0);
 
-  std::ifstream in(opts.csv);
+  std::ifstream in(suite.csv_dir + "/fig7_test_panel.csv");
   ASSERT_TRUE(in.good());
   std::string header;
   ASSERT_TRUE(std::getline(in, header));
@@ -45,53 +52,28 @@ TEST(Fig7Pipeline, QuickPanelRunsAndWritesCsv) {
   EXPECT_EQ(rows, 3);
 }
 
-TEST(Fig7Pipeline, SuiteCsvIsByteIdenticalToStandalonePanel) {
-  // The acceptance contract of fig7_all: a panel's CSV out of the shared
-  // scheduled suite equals the standalone panel binary's CSV byte for
-  // byte, even at different thread counts.
-  tcw::bench::Fig7Options standalone_opts;
-  standalone_opts.offered_load = 0.5;
-  standalone_opts.message_length = 25.0;
-  standalone_opts.quick = true;
-  standalone_opts.k_over_m = {1.0, 2.0};
-  standalone_opts.threads = 1;
-  standalone_opts.csv = ::testing::TempDir() + "/tcw_fig7_standalone.csv";
-  ASSERT_EQ(
-      tcw::bench::run_fig7_panel("fig7_rho50_m25", standalone_opts), 0);
-
+TEST(Fig7Pipeline, SuiteCsvIsByteIdenticalAcrossThreadCounts) {
+  // The acceptance contract of fig7_all: the shared scheduled suite
+  // writes the same panel CSVs byte for byte at any thread count.
   tcw::bench::Fig7SuiteOptions suite;
-  suite.base = standalone_opts;
-  suite.base.csv.clear();
-  suite.base.threads = 2;
+  suite.base.quick = true;
+  suite.base.k_over_m = {1.0, 2.0};
   suite.panels = {{"fig7_rho50_m25", 0.5, 25.0},
                   {"fig7_rho25_m25", 0.25, 25.0}};
-  suite.csv_dir = ::testing::TempDir();
-  suite.baseline = false;  // the binary's own cross-check; slow here
+  const std::string root = ::testing::TempDir() + "/tcw_fig7_threads";
+
+  suite.base.threads = 1;
+  suite.csv_dir = root + "_t1";
+  ASSERT_EQ(tcw::bench::run_fig7_suite(suite), 0);
+  suite.base.threads = 2;
+  suite.csv_dir = root + "_t2";
   ASSERT_EQ(tcw::bench::run_fig7_suite(suite), 0);
 
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-  };
-  const std::string standalone_csv = slurp(standalone_opts.csv);
-  const std::string suite_csv =
-      slurp(::testing::TempDir() + "/fig7_rho50_m25.csv");
-  ASSERT_FALSE(standalone_csv.empty());
-  EXPECT_EQ(standalone_csv, suite_csv);
-}
-
-TEST(Fig7Pipeline, FlagRegistrationRoundTrip) {
-  tcw::bench::Fig7Options opts;
-  tcw::Flags flags("t", "test");
-  tcw::bench::register_fig7_flags(flags, opts);
-  const char* argv[] = {"t", "--rho=0.75", "--m=100", "--quick"};
-  ASSERT_TRUE(flags.parse(4, argv));
-  EXPECT_DOUBLE_EQ(opts.offered_load, 0.75);
-  EXPECT_DOUBLE_EQ(opts.message_length, 100.0);
-  EXPECT_TRUE(opts.quick);
+  for (const tcw::bench::Fig7PanelSpec& p : suite.panels) {
+    const std::string t1 = slurp(root + "_t1/" + p.name + ".csv");
+    ASSERT_FALSE(t1.empty()) << p.name;
+    EXPECT_EQ(t1, slurp(root + "_t2/" + p.name + ".csv")) << p.name;
+  }
 }
 
 }  // namespace

@@ -34,7 +34,8 @@ net::SweepConfig sweep_config(double rho, double m) {
 std::vector<net::SweepPoint> sweep(const net::SweepConfig& cfg,
                                    net::ProtocolVariant v,
                                    const std::vector<double>& grid) {
-  return net::run_sweep({.config = cfg, .constraints = grid, .variant = v})
+  return net::run_sweep({.config = cfg, .constraints = grid, .variant = v,
+                         .make_policy = {}})
       .points();
 }
 

@@ -326,7 +326,7 @@ TEST(PolicyGridDeterminism, SweepBitIdenticalAloneVersusInSuite) {
     auto handle = net::run_sweep(
         {.config = config_for(kind), .constraints = grid,
          .make_policy = policy},
-        {.scheduler = &scheduler, .name = net::to_string(kind)});
+        {.scheduler = &scheduler, .name = net::to_string(kind), .cache = {}});
     scheduler.run();
     alone.push_back(handle.points());
   }
@@ -340,7 +340,8 @@ TEST(PolicyGridDeterminism, SweepBitIdenticalAloneVersusInSuite) {
       handles.push_back(net::run_sweep(
           {.config = config_for(kind), .constraints = grid,
            .make_policy = policy},
-          {.scheduler = &scheduler, .name = net::to_string(kind)}));
+          {.scheduler = &scheduler, .name = net::to_string(kind),
+           .cache = {}}));
     }
     scheduler.run();
   }

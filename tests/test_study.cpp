@@ -107,6 +107,42 @@ TEST(StudyRegistry, MarkdownTableCoversEveryStudy) {
   }
 }
 
+// The flag-error contract shared by every study that takes an engine or
+// channel-selector spelling: unknown names fail and list the valid ones
+// on stderr, matching is case-insensitive, and an absent flag (empty
+// value) keeps the caller's default.
+TEST(StudyFlags, EngineFlagRejectsUnknownNamesAndListsValidOnes) {
+  net::EngineKind kind = net::EngineKind::DynamicAloha;
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(bench::parse_engine_flag("bogus", &kind));
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("bogus"), std::string::npos) << err;
+  EXPECT_NE(err.find("window"), std::string::npos) << err;
+  EXPECT_EQ(kind, net::EngineKind::DynamicAloha);
+
+  EXPECT_TRUE(bench::parse_engine_flag("", &kind));
+  EXPECT_EQ(kind, net::EngineKind::DynamicAloha);
+
+  EXPECT_TRUE(bench::parse_engine_flag("Slotted-ALOHA", &kind));
+  EXPECT_EQ(kind, net::EngineKind::SlottedAloha);
+}
+
+TEST(StudyFlags, SelectorFlagRejectsUnknownNamesAndListsValidOnes) {
+  net::ChannelSelectorKind kind = net::ChannelSelectorKind::DeadlineHop;
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(bench::parse_selector_flag("bogus", &kind));
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("bogus"), std::string::npos) << err;
+  EXPECT_NE(err.find("hash-shard"), std::string::npos) << err;
+  EXPECT_EQ(kind, net::ChannelSelectorKind::DeadlineHop);
+
+  EXPECT_TRUE(bench::parse_selector_flag("", &kind));
+  EXPECT_EQ(kind, net::ChannelSelectorKind::DeadlineHop);
+
+  EXPECT_TRUE(bench::parse_selector_flag("Least-Loaded", &kind));
+  EXPECT_EQ(kind, net::ChannelSelectorKind::LeastLoaded);
+}
+
 TEST(StudyCache, TruncatedResumeBitIdenticalForAnyThreadCount) {
   const net::SweepConfig cfg = small_config();
   const std::vector<double> grid{25.0, 50.0};

@@ -52,6 +52,7 @@ std::vector<net::SweepPoint> sweep(const net::SweepConfig& cfg,
                                    const std::vector<double>& grid,
                                    net::SweepTiming* timing = nullptr) {
   return net::run_sweep({.config = cfg, .constraints = grid, .variant = v,
+                         .make_policy = {},
                          .timing = timing})
       .points();
 }
@@ -162,8 +163,8 @@ TEST(SweepTrace, TracedShardWorksUnderExternalScheduler) {
   tcw::exec::SweepScheduler scheduler(pool);
   auto handle = net::run_sweep(
       {.config = cfg, .constraints = grid,
-       .variant = net::ProtocolVariant::Controlled},
-      {.scheduler = &scheduler, .name = "traced"});
+       .variant = net::ProtocolVariant::Controlled, .make_policy = {}},
+      {.scheduler = &scheduler, .name = "traced", .cache = {}});
   scheduler.run();
   EXPECT_GT(trace.total_recorded(), 0u);
 

@@ -260,11 +260,13 @@ TEST(SweepScheduler, ScheduledSweepsMatchStandaloneForEveryThreadCount) {
   cfg.threads = 1;
   const auto standalone_controlled =
       net::run_sweep({.config = cfg, .constraints = grid,
-                      .variant = net::ProtocolVariant::Controlled})
+                      .variant = net::ProtocolVariant::Controlled,
+                      .make_policy = {}})
           .points();
   const auto standalone_fcfs =
       net::run_sweep({.config = cfg, .constraints = grid,
-                      .variant = net::ProtocolVariant::FcfsNoDiscard})
+                      .variant = net::ProtocolVariant::FcfsNoDiscard,
+                      .make_policy = {}})
           .points();
 
   const int hw = static_cast<int>(
@@ -274,12 +276,12 @@ TEST(SweepScheduler, ScheduledSweepsMatchStandaloneForEveryThreadCount) {
     SweepScheduler scheduler(pool);
     auto controlled = net::run_sweep(
         {.config = cfg, .constraints = grid,
-         .variant = net::ProtocolVariant::Controlled},
-        {.scheduler = &scheduler, .name = "controlled"});
+         .variant = net::ProtocolVariant::Controlled, .make_policy = {}},
+        {.scheduler = &scheduler, .name = "controlled", .cache = {}});
     auto fcfs = net::run_sweep(
         {.config = cfg, .constraints = grid,
-         .variant = net::ProtocolVariant::FcfsNoDiscard},
-        {.scheduler = &scheduler, .name = "fcfs"});
+         .variant = net::ProtocolVariant::FcfsNoDiscard, .make_policy = {}},
+        {.scheduler = &scheduler, .name = "fcfs", .cache = {}});
     EXPECT_EQ(controlled.jobs(), grid.size() * 2);
     const SchedulerReport report = scheduler.run();
     EXPECT_EQ(report.shards, grid.size() * 2 * 2);
@@ -295,20 +297,28 @@ TEST(SweepScheduler, SweepSubmissionOrderDoesNotChangeResults) {
   ThreadPool pool(3);
   SweepScheduler forward(pool);
   auto fwd_a = net::run_sweep({.config = cfg, .constraints = grid,
-                               .variant = net::ProtocolVariant::Controlled},
-                              {.scheduler = &forward, .name = "a"});
+                               .variant = net::ProtocolVariant::Controlled,
+                               .make_policy = {}},
+                              {.scheduler = &forward, .name = "a",
+                               .cache = {}});
   auto fwd_b = net::run_sweep({.config = cfg, .constraints = grid,
-                               .variant = net::ProtocolVariant::LcfsNoDiscard},
-                              {.scheduler = &forward, .name = "b"});
+                               .variant = net::ProtocolVariant::LcfsNoDiscard,
+                               .make_policy = {}},
+                              {.scheduler = &forward, .name = "b",
+                               .cache = {}});
   forward.run();
 
   SweepScheduler reversed(pool);
   auto rev_b = net::run_sweep({.config = cfg, .constraints = grid,
-                               .variant = net::ProtocolVariant::LcfsNoDiscard},
-                              {.scheduler = &reversed, .name = "b"});
+                               .variant = net::ProtocolVariant::LcfsNoDiscard,
+                               .make_policy = {}},
+                              {.scheduler = &reversed, .name = "b",
+                               .cache = {}});
   auto rev_a = net::run_sweep({.config = cfg, .constraints = grid,
-                               .variant = net::ProtocolVariant::Controlled},
-                              {.scheduler = &reversed, .name = "a"});
+                               .variant = net::ProtocolVariant::Controlled,
+                               .make_policy = {}},
+                              {.scheduler = &reversed, .name = "a",
+                               .cache = {}});
   reversed.run();
 
   expect_points_equal(fwd_a.points(), rev_a.points());
@@ -330,7 +340,7 @@ TEST(SweepScheduler, CustomPolicySweepMatchesStandalone) {
   SweepScheduler scheduler(pool);
   auto scheduled = net::run_sweep(
       {.config = cfg, .constraints = grid, .make_policy = factory},
-      {.scheduler = &scheduler, .name = "custom"});
+      {.scheduler = &scheduler, .name = "custom", .cache = {}});
   scheduler.run();
   expect_points_equal(scheduled.points(), standalone);
 }
