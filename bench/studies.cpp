@@ -370,24 +370,29 @@ class AdaptiveWidthStudy final : public Study {
     std::printf("== adaptive element (2): SMDP width table vs static "
                 "heuristic (lambda=%.3f, M=%.0f) ==\n\n", lambda_, m);
 
-    // Solve the decision model at every deadline in one Monte-Carlo pass
-    // (scheduling-time work: the sweeps need the width tables before they
-    // can be enqueued).
-    const std::vector<std::size_t> deadlines = {12, 16, 24, 32, 48};
+    // Solve the decision model at every deadline in one Monte-Carlo pass,
+    // as a job on the scheduler next to the other sweeps; the adaptive
+    // arms are gated on it and read their width tables when they start.
     smdp::WindowSmdpConfig wcfg;
     wcfg.lambda = lambda_;
     wcfg.tx_slots = static_cast<std::size_t>(tx_);
     wcfg.mc_samples = static_cast<std::size_t>(samples);
-    const auto models = smdp::solve_window_models(wcfg, deadlines);
-    for (std::size_t d = 0; d < deadlines.size(); ++d) {
-      const auto k = static_cast<long long>(deadlines[d]);
-      const auto& solved = models[d];
-      std::vector<double> width_table(solved.width_per_state.size());
-      for (std::size_t i = 0; i < width_table.size(); ++i) {
-        width_table[i] = static_cast<double>(solved.width_per_state[i]);
-      }
-
-      const std::string kname = "K" + std::to_string(k);
+    const StudyContext::Prerequisite solve{
+        ctx.job("smdp",
+                [this, wcfg] {
+                  models_ = smdp::solve_window_models(wcfg, kDeadlines);
+                }),
+        "smdp|lambda=" + fp_value(wcfg.lambda) +
+            "|tx=" + std::to_string(wcfg.tx_slots) +
+            "|max_window=" + std::to_string(wcfg.max_window) +
+            "|samples=" + std::to_string(wcfg.mc_samples) +
+            "|seed=" + std::to_string(wcfg.seed)};
+    for (std::size_t d = 0; d < kDeadlines.size(); ++d) {
+      const auto k = static_cast<long long>(kDeadlines[d]);
+      // Appended, not "K" + std::to_string(k): GCC 12 at -O3 reports a
+      // false-positive -Wrestrict on that concatenation.
+      std::string kname = "K";
+      kname += std::to_string(k);
       auto static_sweep = ctx.sweep(
           kname + "/static", cfg,
           [heuristic_width](double deadline) {
@@ -396,22 +401,23 @@ class AdaptiveWidthStudy final : public Study {
           {static_cast<double>(k)});
       auto adaptive_sweep = ctx.sweep(
           kname + "/adaptive", cfg,
-          [heuristic_width, width_table](double deadline) {
+          [this, d, heuristic_width](double deadline) {
             auto p = core::ControlPolicy::optimal(deadline,
                                                   heuristic_width);
-            p.width_table = width_table;
+            const auto& widths = models_[d].width_per_state;
+            p.width_table.assign(widths.begin(), widths.end());
             return p;
           },
-          {static_cast<double>(k)});
-      arms_.push_back({k, solved.loss_fraction, std::move(static_sweep),
-                       std::move(adaptive_sweep)});
+          {static_cast<double>(k)}, solve);
+      arms_.push_back({k, std::move(static_sweep), std::move(adaptive_sweep)});
     }
   }
 
   int render(StudyContext& ctx) override {
     Table table({"K", "loss_static", "ci_static", "loss_adaptive",
                  "ci_adaptive", "smdp_pseudo_loss"});
-    for (const Arm& arm : arms_) {
+    for (std::size_t d = 0; d < arms_.size(); ++d) {
+      const Arm& arm = arms_[d];
       const auto static_pts = arm.static_sweep.points();
       const auto adaptive_pts = arm.adaptive_sweep.points();
       table.add_row({std::to_string(arm.k),
@@ -419,7 +425,7 @@ class AdaptiveWidthStudy final : public Study {
                      format_fixed(static_pts[0].ci95, 5),
                      format_fixed(adaptive_pts[0].p_loss, 5),
                      format_fixed(adaptive_pts[0].ci95, 5),
-                     format_fixed(arm.smdp_pseudo_loss, 5)});
+                     format_fixed(models_[d].loss_fraction, 5)});
     }
     table.write_pretty(std::cout);
     std::printf("\n(the SMDP pseudo-loss column is the model's own optimum "
@@ -436,13 +442,16 @@ class AdaptiveWidthStudy final : public Study {
   double t_end_ = 400000.0;
   long long reps_ = 3;
   long long samples_ = 20000;
+  static inline const std::vector<std::size_t> kDeadlines = {12, 16, 24,
+                                                             32, 48};
   struct Arm {
     long long k;
-    double smdp_pseudo_loss;
     net::ScheduledSweep static_sweep;
     net::ScheduledSweep adaptive_sweep;
   };
   std::vector<Arm> arms_;
+  // One solved model per kDeadlines entry, written by the smdp job.
+  std::vector<smdp::WindowPolicyResult> models_;
 };
 
 // Asynchrony sensitivity (paper Section 5, second extension): every probe
@@ -998,9 +1007,14 @@ class MultiChannelStudy final : public Study {
           cfg.mac.channel.selector = selector;
           cfg.mac.channel.skew = skew_;
           const double width = cfg.heuristic_window_width();
-          const std::string name = "c" + std::to_string(channels) + "/" +
-                                   net::to_string(selector) + "/rho" +
-                                   format_fixed(rho, 2);
+          // Appended piece by piece: GCC 12 at -O3 reports a
+          // false-positive -Wrestrict on "c" + std::to_string(...).
+          std::string name = "c";
+          name += std::to_string(channels);
+          name += '/';
+          name += net::to_string(selector);
+          name += "/rho";
+          name += format_fixed(rho, 2);
           arms_.push_back({engine, channels, selector, rho,
                            ctx.sweep(
                                name, cfg,

@@ -26,7 +26,8 @@ StudyContext::StudyContext(const StudySpec& spec,
 net::ScheduledSweep StudyContext::sweep(
     const std::string& name, const net::SweepConfig& config,
     const std::function<core::ControlPolicy(double)>& make_policy,
-    const std::vector<double>& grid) {
+    const std::vector<double>& grid,
+    const std::optional<Prerequisite>& after) {
   const std::string full = spec_.name + "/" + name;
   net::SweepConfig cfg = config;
   if (common_.trace.log != nullptr && common_.trace_sweep == name) {
@@ -43,13 +44,22 @@ net::ScheduledSweep StudyContext::sweep(
   net::ScheduledSweep handle = net::run_sweep(
       {.config = cfg, .constraints = grid, .make_policy = make_policy},
       {.scheduler = &scheduler_, .name = full,
-       .cache = net::SweepCacheBinding{cache_, full, gate_}});
+       .cache = net::SweepCacheBinding{
+           cache_, after ? full + "|after=" + after->inputs : full, gate_},
+       .after = after ? std::optional(after->sweep) : std::nullopt});
   if (obs_ != nullptr) obs_->track_sweep(full, handle);
   cached_shards_ += handle.cached_jobs();
   skipped_shards_ += handle.skipped_jobs();
   scheduled_shards_ +=
       handle.jobs() - handle.cached_jobs() - handle.skipped_jobs();
   return handle;
+}
+
+std::size_t StudyContext::job(const std::string& name,
+                              std::function<void()> run) {
+  std::vector<std::function<void()>> shards;
+  shards.push_back(std::move(run));
+  return scheduler_.add_sweep(spec_.name + "/" + name, std::move(shards));
 }
 
 std::shared_ptr<GenericSweep> StudyContext::generic_sweep(

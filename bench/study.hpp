@@ -12,7 +12,9 @@
 //      each sweep to the study's exec::ShardCache shard store when
 //      --cache-dir is given -- shards already in the store are decoded
 //      into their result slots and never scheduled, making long studies
-//      resumable (--resume) with byte-identical CSVs.
+//      resumable (--resume) with byte-identical CSVs. A value that
+//      sweeps' policies are built from (e.g. a model solve) is computed
+//      by a job() those sweeps are gated on, on the same scheduler.
 //   3. render(): after the scheduler ran, print tables and write the CSV.
 //
 // study_tool is the one driver: `study_tool <study>` runs one study on
@@ -23,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -96,14 +99,30 @@ class StudyContext {
   exec::SweepScheduler& scheduler() { return scheduler_; }
   exec::ShardCache* cache() const { return cache_; }
 
+  /// What a loss-curve sweep's policy factory depends on beyond its own
+  /// configuration: the scheduler sweep that computes it (from job()) and
+  /// the canonical text of every input of that computation.
+  struct Prerequisite {
+    std::size_t sweep;
+    std::string inputs;
+  };
+
   /// Enqueue one cached loss-curve sweep as "<study>/<name>"; `name` also
   /// tags its shards in the store, so it must be stable across runs and
   /// unique within the study. Applies the embedding caller's trace
-  /// request when `name` matches.
+  /// request when `name` matches. With `after`, the sweep is gated on
+  /// the prerequisite's sweep and its inputs join the cache tag, so
+  /// stored shards are reused only for the same prerequisite inputs.
   net::ScheduledSweep sweep(
       const std::string& name, const net::SweepConfig& config,
       const std::function<core::ControlPolicy(double)>& make_policy,
-      const std::vector<double>& grid);
+      const std::vector<double>& grid,
+      const std::optional<Prerequisite>& after = std::nullopt);
+
+  /// Enqueue one uncached job as the one-shard sweep "<study>/<name>". It
+  /// runs on every run, cached or not (e.g. a model solve that sweeps
+  /// read through Prerequisite); returns its scheduler sweep index.
+  std::size_t job(const std::string& name, std::function<void()> run);
 
   /// Enqueue one cached generic sweep: job i runs `jobs[i]` and stores
   /// the returned payload in slot i. Shard keys derive from

@@ -4,9 +4,12 @@
 #   - fig7_all --quick, the whole Figure-7 job graph;
 #   - kernel_bench --verify, bit-comparing the fast per-slot kernels
 #     against their retained reference paths;
-#   - study_smoke.sh over ablation_window_size, policy_grid, large_n and
-#     multichannel: standalone vs --suite, and truncated-store resume,
-#     must write byte-identical CSVs;
+#   - results_gate.sh: `study_tool --suite` at committed scale must write
+#     every study CSV byte-identical to results/;
+#   - study_smoke.sh over ablation_window_size, ablation_adaptive_width
+#     (whose adaptive arms are gated on the SMDP solve job), policy_grid,
+#     large_n and multichannel: standalone vs --suite, and truncated-store
+#     resume, must write byte-identical CSVs;
 #   - overlay_smoke.sh: every observability overlay (trace, manifest,
 #     progress, flight recorder, slot series) on/off at 1 and N threads
 #     leaves every CSV byte-identical, its artifacts are consistent and
@@ -45,9 +48,13 @@ cmake --build build --target suite_smoke
 echo "== tier-1: kernel fast-path vs reference smoke =="
 cmake --build build --target kernel_verify_smoke
 
+echo "== tier-1: results gate (study --suite at committed scale vs results/, cmp) =="
+scripts/results_gate.sh build/bench/study_tool build/bench/results_gate
+
 echo "== tier-1: study smoke (standalone vs --suite vs resume, cmp) =="
 scripts/study_smoke.sh build/bench/study_tool build/bench/study_smoke \
-    ablation_window_size policy_grid large_n multichannel
+    ablation_window_size ablation_adaptive_width policy_grid large_n \
+    multichannel
 
 echo "== tier-1: observability overlay smoke (CSV bit-equality, artifacts) =="
 scripts/overlay_smoke.sh build/bench/study_tool build/bench/kernel_bench \

@@ -77,10 +77,16 @@ std::string SchedulerReport::bench_json(const std::string& suite) const {
 }
 
 std::size_t SweepScheduler::add_sweep(
-    std::string name, std::vector<std::function<void()>> shards) {
+    std::string name, std::vector<std::function<void()>> shards,
+    std::optional<std::size_t> after) {
   auto sweep = std::make_unique<Sweep>();
   sweep->name = std::move(name);
   sweep->shards = std::move(shards);
+  if (after.has_value()) {
+    TCW_EXPECTS(*after < sweeps_.size());
+    sweep->after = sweeps_[*after].get();
+    sweep->after->gating = true;
+  }
   sweeps_.push_back(std::move(sweep));
   return sweeps_.size() - 1;
 }
@@ -102,7 +108,11 @@ void SweepScheduler::run_shard(Sweep& sweep, std::size_t index,
   SchedulerCounters& counters = scheduler_counters();
   (stolen ? counters.shards_stolen : counters.shards_home).add(1);
   counters.shard_seconds.record(seconds_between(start, end));
-  sweep.done.fetch_add(1, std::memory_order_relaxed);
+  // Release: a gated sweep's runners acquire this count before claiming,
+  // so everything the shard wrote is visible to its dependents.
+  const std::size_t done =
+      sweep.done.fetch_add(1, std::memory_order_release) + 1;
+  if (sweep.gating && done == sweep.shards.size()) wake_blocked();
   std::lock_guard<std::mutex> lock(sweep.mu);
   if (!sweep.started) {
     sweep.started = true;
@@ -116,35 +126,68 @@ void SweepScheduler::run_shard(Sweep& sweep, std::size_t index,
   ++sweep.completed;
 }
 
+void SweepScheduler::wake_blocked() {
+  // Taking the lock orders this wake-up after a waiter's readiness check
+  // or before it, so a waiter either sees the new state or is notified.
+  { std::lock_guard<std::mutex> lock(gate_mu_); }
+  gate_cv_.notify_all();
+}
+
+bool SweepScheduler::wait_for_work(const std::atomic<bool>& abort) {
+  std::unique_lock<std::mutex> lock(gate_mu_);
+  for (;;) {
+    if (abort.load(std::memory_order_relaxed)) return false;
+    bool blocked = false;
+    for (const auto& sweep : sweeps_) {
+      if (!unclaimed(*sweep)) continue;
+      if (ready(*sweep)) return true;
+      blocked = true;
+    }
+    if (!blocked) return false;  // every shard claimed
+    gate_cv_.wait(lock);
+  }
+}
+
 void SweepScheduler::runner(std::size_t home, std::atomic<bool>& abort) {
   const std::size_t n = sweeps_.size();
   while (!abort.load(std::memory_order_relaxed)) {
     Sweep* claimed = nullptr;
     std::size_t index = 0;
     bool stolen = false;
-    // Scan sweeps starting from this runner's home so workers spread over
-    // distinct sweeps, then fall through to stealing from any sweep that
-    // still has unclaimed shards.
-    for (std::size_t k = 0; k < n; ++k) {
-      Sweep& sweep = *sweeps_[(home + k) % n];
-      const std::size_t i =
-          sweep.cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i < sweep.shards.size()) {
-        claimed = &sweep;
-        index = i;
-        stolen = k > 0;
-        break;
+    // Two scans, each starting from this runner's home so workers spread
+    // over distinct sweeps: the first only considers gating sweeps (other
+    // sweeps wait on them), the second falls through to stealing from any
+    // ready sweep that still has unclaimed shards.
+    for (const bool gating_only : {true, false}) {
+      for (std::size_t k = 0; k < n && claimed == nullptr; ++k) {
+        Sweep& sweep = *sweeps_[(home + k) % n];
+        if ((gating_only && !sweep.gating) || !unclaimed(sweep) ||
+            !ready(sweep)) {
+          continue;
+        }
+        const std::size_t i =
+            sweep.cursor.fetch_add(1, std::memory_order_relaxed);
+        if (i < sweep.shards.size()) {
+          claimed = &sweep;
+          index = i;
+          stolen = k > 0;
+        }
       }
     }
     if (claimed == nullptr) {
-      // Every sweep fully claimed: this runner drains out.
-      scheduler_counters().queue_drains.add(1);
+      // Nothing claimable: sleep while only gated shards remain, drain
+      // out once every shard is claimed.
+      if (wait_for_work(abort)) continue;
+      if (!abort.load(std::memory_order_relaxed)) {
+        scheduler_counters().queue_drains.add(1);
+      }
       return;
     }
     try {
       run_shard(*claimed, index, static_cast<std::uint32_t>(home), stolen);
     } catch (...) {
       abort.store(true, std::memory_order_relaxed);
+      wake_blocked();  // blocked runners must not wait on a dead gate
       throw;  // captured by the pool; rethrown from ThreadPool::wait()
     }
   }
@@ -176,9 +219,11 @@ SchedulerReport SweepScheduler::run() {
   }
   try {
     if (pool_.size() <= 1 || total <= 1) {
-      // Serial path: registration order, shards ascending. (Result
-      // determinism never depends on this -- shards write slots -- but it
-      // makes single-threaded exception behaviour predictable.)
+      // Serial path: registration order, shards ascending, so every
+      // prerequisite (registered earlier) finishes before its gated
+      // sweep starts. (Result determinism never depends on this -- shards
+      // write slots -- but it makes single-threaded exception behaviour
+      // predictable.)
       for (const auto& sweep : sweeps_) {
         for (std::size_t i = 0; i < sweep->shards.size(); ++i) {
           run_shard(*sweep, i, 0, /*stolen=*/false);

@@ -13,6 +13,19 @@
 // -- keeps every sweep's output bit-identical to its standalone run for
 // any worker count, including 1.
 //
+// A sweep may name one earlier sweep as its prerequisite (add_sweep's
+// `after`): its shards become claimable only once every shard of the
+// prerequisite has finished, so a job that computes an input -- e.g. a
+// model solve whose result the dependent shards' policies read -- runs
+// on the pool next to unrelated sweeps instead of before run(). Runners
+// claim gating sweeps (those some other sweep waits on) before any other
+// sweep, so the critical path starts first. A runner that finds only
+// blocked work left sleeps on a condition variable until a prerequisite
+// completes or a shard throws; it never spins and never drains while
+// blocked shards remain. Completion publishes with release ordering on
+// the prerequisite's `done` count and readiness is tested with acquire,
+// so whatever the prerequisite wrote is visible to its dependents.
+//
 // run() also produces a consolidated timing report: per-sweep and total
 // wall clock, shard throughput, and worker utilization, with a
 // machine-readable BENCH_JSON rendering for bench harnesses.
@@ -20,6 +33,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -74,9 +88,13 @@ class SweepScheduler {
   SweepScheduler& operator=(const SweepScheduler&) = delete;
 
   /// Register one named sweep of independent shard closures. Returns the
-  /// sweep's index (its position in SchedulerReport::sweeps).
+  /// sweep's index (its position in SchedulerReport::sweeps). With
+  /// `after`, the sweep is gated on that earlier sweep (`after` must be
+  /// less than the returned index): none of its shards starts before
+  /// every shard of sweep `after` has finished.
   std::size_t add_sweep(std::string name,
-                        std::vector<std::function<void()>> shards);
+                        std::vector<std::function<void()>> shards,
+                        std::optional<std::size_t> after = std::nullopt);
 
   std::size_t sweep_count() const { return sweeps_.size(); }
   std::size_t shard_count() const;
@@ -84,9 +102,11 @@ class SweepScheduler {
 
   /// Run every registered shard to completion across the shared pool and
   /// return the consolidated report. With a single worker the shards run
-  /// inline, in registration order. If a shard throws, remaining shards
-  /// are abandoned and the first exception is rethrown here. Registered
-  /// sweeps are consumed either way, so the scheduler is reusable.
+  /// inline, in registration order (which already honours every gate).
+  /// If a shard throws, remaining shards -- including any still gated
+  /// behind it -- are abandoned and the first exception is rethrown here.
+  /// Registered sweeps are consumed either way, so the scheduler is
+  /// reusable.
   SchedulerReport run();
 
   /// Observability overlays -- both strictly read/record around shard
@@ -115,8 +135,10 @@ class SweepScheduler {
   struct Sweep {
     std::string name;
     std::vector<std::function<void()>> shards;
+    Sweep* after = nullptr;  // prerequisite, or null
+    bool gating = false;     // some later sweep is gated on this one
     std::atomic<std::size_t> cursor{0};  // next unclaimed shard
-    std::atomic<std::size_t> done{0};    // completed shards (progress)
+    std::atomic<std::size_t> done{0};    // completed shards (progress, gates)
     // Timing, written once per completed shard:
     std::mutex mu;
     bool started = false;
@@ -126,12 +148,29 @@ class SweepScheduler {
     std::size_t completed = 0;
   };
 
+  static bool finished(const Sweep& sweep) {
+    return sweep.done.load(std::memory_order_acquire) == sweep.shards.size();
+  }
+  static bool ready(const Sweep& sweep) {
+    return sweep.after == nullptr || finished(*sweep.after);
+  }
+  static bool unclaimed(const Sweep& sweep) {
+    return sweep.cursor.load(std::memory_order_relaxed) <
+           sweep.shards.size();
+  }
+
   void run_shard(Sweep& sweep, std::size_t index, std::uint32_t worker,
                  bool stolen);
   void runner(std::size_t home, std::atomic<bool>& abort);
+  bool wait_for_work(const std::atomic<bool>& abort);
+  void wake_blocked();
 
   ThreadPool& pool_;
   std::vector<std::unique_ptr<Sweep>> sweeps_;
+  // Blocked runners sleep here until a gating sweep finishes or the run
+  // aborts; both events notify under gate_mu_.
+  std::mutex gate_mu_;
+  std::condition_variable gate_cv_;
   obs::Timeline* timeline_ = nullptr;
   bool progress_ = false;
   std::optional<obs::ProgressSource> progress_cluster_;

@@ -6,7 +6,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <memory>
+#include <mutex>
 
 #include "analysis/splitting.hpp"
 #include "exec/parallel_for.hpp"
@@ -140,18 +142,10 @@ class LossCurveSweep {
       : config_(config),
         constraints_(constraints),
         reps_(static_cast<std::size_t>(config.replications)),
+        make_policy_(make_policy),
         results_(constraints.size() *
                  static_cast<std::size_t>(config.replications)) {
     TCW_EXPECTS(config.replications >= 1);
-    // The factory is caller code with no thread-safety contract, so build
-    // every policy serially up front, preserving the historical call order
-    // (K-major, one call per replication).
-    policies_.reserve(results_.size());
-    for (const double k : constraints_) {
-      for (std::size_t rep = 0; rep < reps_; ++rep) {
-        policies_.push_back(make_policy(k));
-      }
-    }
   }
 
   std::size_t jobs() const { return results_.size(); }
@@ -241,7 +235,7 @@ class LossCurveSweep {
 
   void run_job(std::size_t job) {
     AggregateConfig sim_cfg;
-    sim_cfg.policy = policies_[job];
+    sim_cfg.policy = policy(job);
     sim_cfg.mac = config_.mac;
     sim_cfg.message_length = config_.message_length;
     sim_cfg.success_overhead = config_.success_overhead;
@@ -356,9 +350,30 @@ class LossCurveSweep {
   }
 
  private:
+  // The factory is caller code with no thread-safety contract, and it may
+  // read a value that a prerequisite sweep computes, so the first executed
+  // job builds every policy, once, in the historical call order (K-major,
+  // one call per replication). call_once also publishes the policies to
+  // every other job. A sweep whose jobs all come from a cache never calls
+  // the factory.
+  const core::ControlPolicy& policy(std::size_t job) {
+    std::call_once(policies_once_, [this] {
+      policies_.reserve(results_.size());
+      for (const double k : constraints_) {
+        for (std::size_t rep = 0; rep < reps_; ++rep) {
+          policies_.push_back(make_policy_(k));
+        }
+      }
+      make_policy_ = nullptr;  // drop the factory's captures
+    });
+    return policies_[job];
+  }
+
   SweepConfig config_;
   std::vector<double> constraints_;
   std::size_t reps_;
+  std::function<core::ControlPolicy(double)> make_policy_;
+  std::once_flag policies_once_;
   std::vector<core::ControlPolicy> policies_;
   std::vector<SweepJobResult> results_;
   std::size_t cached_jobs_ = 0;   // slots filled from a shard cache
@@ -472,8 +487,10 @@ ScheduledSweep run_sweep(const SweepRequest& request,
     manifest.add_sweep(std::move(entry));
   }
 
+  TCW_EXPECTS(!bindings.after.has_value() || bindings.scheduler != nullptr);
   if (bindings.scheduler != nullptr) {
-    bindings.scheduler->add_sweep(bindings.name, std::move(shards));
+    bindings.scheduler->add_sweep(bindings.name, std::move(shards),
+                                  bindings.after);
     return ScheduledSweep(std::move(state));
   }
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -166,9 +167,12 @@ struct SweepRequest {
   /// from policy_for(variant, K, config.heuristic_window_width()).
   ProtocolVariant variant = ProtocolVariant::Controlled;
   /// Optional policy factory for ablations over arbitrary element
-  /// combinations. Receives K; invoked serially on the calling thread
-  /// (once per (K, replication), K-major), so it needs no internal
-  /// synchronization. When set, `variant` is ignored.
+  /// combinations. Receives K; invoked serially (once per (K,
+  /// replication), K-major) under std::call_once by whichever thread runs
+  /// the sweep's first executed job, so it needs no internal
+  /// synchronization and may read what a prerequisite sweep (see
+  /// SweepBindings::after) computed. A sweep served entirely from its
+  /// cache never invokes it. When set, `variant` is ignored.
   std::function<core::ControlPolicy(double)> make_policy;
   /// Optional wall-clock accounting, filled in standalone mode only (a
   /// scheduler-bound sweep is timed by its scheduler).
@@ -194,6 +198,10 @@ struct SweepBindings {
   /// name under which a run manifest records the sweep.
   std::string name;
   SweepCacheBinding cache;
+  /// Index of an earlier sweep on `scheduler` that this one is gated on
+  /// (exec::SweepScheduler::add_sweep's `after`): no job starts before
+  /// that sweep has finished. Requires `scheduler`.
+  std::optional<std::size_t> after = std::nullopt;
 };
 
 /// THE sweep entry point: run (or enqueue) one loss-curve sweep described

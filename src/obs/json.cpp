@@ -31,7 +31,15 @@ std::string json_escape(std::string_view s) {
 }
 
 std::string json_quote(std::string_view s) {
-  return "\"" + json_escape(s) + "\"";
+  // reserve + append rather than operator+: GCC 12 at -O3 reports a
+  // false-positive -Wrestrict on the concatenation.
+  const std::string escaped = json_escape(s);
+  std::string out;
+  out.reserve(escaped.size() + 2);
+  out += '"';
+  out += escaped;
+  out += '"';
+  return out;
 }
 
 }  // namespace tcw::obs

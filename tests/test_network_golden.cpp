@@ -62,8 +62,14 @@ struct Cell {
     s += batched ? "/batched" : "/per-station";
     s += event_skip ? "/skip" : "/per-slot";
     s += discard ? "/discard" : "/keep";
-    s += "/C" + std::to_string(channels);
-    if (channels > 1) s += "-" + net::to_string(selector);
+    // Appended piece by piece: GCC 12 at -O3 reports a false-positive
+    // -Wrestrict on "/C" + std::to_string(...).
+    s += "/C";
+    s += std::to_string(channels);
+    if (channels > 1) {
+      s += '-';
+      s += net::to_string(selector);
+    }
     s += reference ? "/ref" : "/fast";
     return s;
   }

@@ -265,6 +265,44 @@ TEST(StudyRunner, LossCurveStudyResumeWritesIdenticalCsv) {
   EXPECT_EQ(slurp(fresh.csv), slurp(resume.csv));
 }
 
+TEST(StudyRunner, AdaptiveWidthResumeRecomputesShardsWhenTheSolveChanges) {
+  // The adaptive arms' policies come from the SMDP solve, so the solve's
+  // inputs key their shards: resuming with another --samples must
+  // recompute every adaptive shard (the static arms stay cached) and
+  // write the CSV that a fresh run with those samples writes.
+  const std::string dir = ::testing::TempDir() + "/tcw_study_adaptive";
+  std::filesystem::remove_all(dir);
+  const auto shrunk = [](const std::string& samples) {
+    return std::vector<std::string>{"--t-end=3000", "--reps=1",
+                                    "--samples=" + samples};
+  };
+  const std::string study = "ablation_adaptive_width";
+  const std::string store = bench::study_store_path(dir, study);
+  const auto store_entries = [&store] {
+    exec::ShardCache cache(store, exec::ShardCache::Mode::Resume);
+    return cache.entries();
+  };
+
+  bench::StudyCommonOptions first;
+  first.cache_dir = dir;
+  first.csv = dir + "/first.csv";
+  ASSERT_EQ(bench::run_study(study, first, shrunk("400")), 0);
+  EXPECT_EQ(store_entries(), 10u);  // 5 deadlines x {static, adaptive}
+
+  bench::StudyCommonOptions resume = first;
+  resume.resume = true;
+  resume.csv = dir + "/resume.csv";
+  ASSERT_EQ(bench::run_study(study, resume, shrunk("200")), 0);
+  EXPECT_EQ(store_entries(), 15u);  // + 5 adaptive shards under new keys
+
+  bench::StudyCommonOptions fresh;
+  fresh.cache_dir = dir + "/fresh";
+  fresh.csv = dir + "/fresh.csv";
+  ASSERT_EQ(bench::run_study(study, fresh, shrunk("200")), 0);
+  EXPECT_EQ(slurp(resume.csv), slurp(fresh.csv));
+  EXPECT_NE(slurp(resume.csv), slurp(first.csv));
+}
+
 TEST(StudyRunner, GenericStudyResumeWritesIdenticalCsv) {
   const std::string dir = ::testing::TempDir() + "/tcw_study_prio";
   std::filesystem::remove_all(dir);

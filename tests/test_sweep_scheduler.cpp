@@ -2,7 +2,10 @@
 // every registered sweep runs exactly once over the shared pool; idle
 // workers steal shards from sweeps that still have work; per-sweep
 // results are bit-identical to standalone runs for any thread count and
-// any sweep submission order; shard exceptions propagate out of run().
+// any sweep submission order; shard exceptions propagate out of run();
+// a gated sweep starts only after its prerequisite has finished, and a
+// loss-curve sweep's policy factory runs lazily, once, on its first
+// executed job.
 #include "exec/sweep_scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -10,14 +13,20 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <functional>
+#include <future>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "exec/shard_cache.hpp"
 #include "exec/thread_pool.hpp"
 #include "net/experiment.hpp"
+#include "util/contract.hpp"
 
 namespace {
 
@@ -228,6 +237,132 @@ TEST(SweepScheduler, ReportInvariantsHoldAcrossSweepsAndThreadCounts) {
   }
 }
 
+// ---- gated sweeps ----
+
+// run() on a helper thread, bounded: a runner left waiting on a gate that
+// never opens must fail the test rather than hang the suite.
+SchedulerReport run_bounded(SweepScheduler& scheduler) {
+  auto result = std::async(std::launch::async, [&] { return scheduler.run(); });
+  if (result.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    std::fprintf(stderr, "SweepScheduler::run() hung on a gated sweep\n");
+    std::abort();
+  }
+  return result.get();
+}
+
+TEST(SweepScheduler, GatedSweepStartsAfterItsPrerequisiteForEveryThreadCount) {
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    SweepScheduler scheduler(pool);
+    // Plain (non-atomic) slots: the prerequisite writes them, the gated
+    // shards read them, so under TSan this also checks that the gate
+    // publishes the prerequisite's writes.
+    std::vector<int> computed(6, 0);
+    std::atomic<int> prerequisite_done{0};
+    std::atomic<int> early_starts{0};
+    std::vector<int> seen(10, 0);
+
+    std::vector<std::atomic<int>> unrelated(12);
+    scheduler.add_sweep("unrelated", counting_shards(unrelated));
+    std::vector<std::function<void()>> solve;
+    for (int i = 0; i < 6; ++i) {
+      solve.push_back([&, i] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1 + i % 3));
+        computed[static_cast<std::size_t>(i)] = i + 1;
+        prerequisite_done.fetch_add(1);
+      });
+    }
+    const std::size_t gate = scheduler.add_sweep("solve", std::move(solve));
+    std::vector<std::function<void()>> dependents;
+    for (int j = 0; j < 10; ++j) {
+      dependents.push_back([&, j] {
+        if (prerequisite_done.load() != 6) early_starts.fetch_add(1);
+        int sum = 0;
+        for (const int v : computed) sum += v;
+        seen[static_cast<std::size_t>(j)] = sum;
+      });
+    }
+    EXPECT_EQ(scheduler.add_sweep("dependent", std::move(dependents), gate),
+              2u);
+
+    const SchedulerReport report = run_bounded(scheduler);
+    EXPECT_EQ(report.shards, 28u) << threads;
+    EXPECT_EQ(early_starts.load(), 0) << threads << " thread(s)";
+    for (const int sum : seen) EXPECT_EQ(sum, 21) << threads;
+    for (const auto& c : unrelated) EXPECT_EQ(c.load(), 1) << threads;
+  }
+}
+
+TEST(SweepScheduler, ThrowingPrerequisiteIsRethrownAndReleasesBlockedRunners) {
+  for (const unsigned threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    SweepScheduler scheduler(pool);
+    std::atomic<int> dependent_runs{0};
+    const std::size_t gate = scheduler.add_sweep("solve", {[] {
+      // Give the other runners time to block on the gate first.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      throw std::runtime_error("solve failed");
+    }});
+    std::vector<std::function<void()>> dependents;
+    for (int j = 0; j < 8; ++j) {
+      dependents.push_back([&dependent_runs] { dependent_runs.fetch_add(1); });
+    }
+    scheduler.add_sweep("dependent", std::move(dependents), gate);
+    EXPECT_THROW(run_bounded(scheduler), std::runtime_error) << threads;
+    EXPECT_EQ(dependent_runs.load(), 0) << threads;
+
+    // The failed graph was consumed; the scheduler runs a new one.
+    std::vector<std::atomic<int>> counters(5);
+    scheduler.add_sweep("after", counting_shards(counters));
+    EXPECT_EQ(run_bounded(scheduler).shards, 5u);
+    for (const auto& c : counters) EXPECT_EQ(c.load(), 1) << threads;
+  }
+}
+
+TEST(SweepScheduler, GatingSweepRegisteredLastIsClaimedFirst) {
+  // Registration order decides claiming only on the serial path; with a
+  // pool, a sweep that others wait on is claimed before every other
+  // sweep, even though each runner's home is a plain sweep.
+  for (const unsigned threads : {2u, 4u}) {
+    ThreadPool pool(threads);
+    SweepScheduler scheduler(pool);
+    std::atomic<int> starts{0};
+    std::atomic<int> gate_start{-1};
+    const auto sleepy = [&starts](int n) {
+      std::vector<std::function<void()>> shards;
+      for (int i = 0; i < n; ++i) {
+        shards.push_back([&starts] {
+          starts.fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        });
+      }
+      return shards;
+    };
+    for (unsigned s = 0; s < threads; ++s) {
+      scheduler.add_sweep("plain" + std::to_string(s), sleepy(20));
+    }
+    const std::size_t gate = scheduler.add_sweep(
+        "solve", {[&] { gate_start.store(starts.fetch_add(1)); }});
+    scheduler.add_sweep("dependent", sleepy(4), gate);
+    run_bounded(scheduler);
+    EXPECT_GE(gate_start.load(), 0);
+    EXPECT_LT(gate_start.load(), static_cast<int>(threads)) << threads;
+  }
+}
+
+TEST(SweepScheduler, SweepGateMustNameAnEarlierSweep) {
+  ThreadPool pool(2);
+  SweepScheduler scheduler(pool);
+  EXPECT_THROW(scheduler.add_sweep("self", {[] {}}, 0),
+               tcw::ContractViolation);
+  scheduler.add_sweep("first", {[] {}});
+  EXPECT_THROW(scheduler.add_sweep("forward", {[] {}}, 2),
+               tcw::ContractViolation);
+  EXPECT_EQ(scheduler.add_sweep("second", {[] {}}, 0), 1u);
+  EXPECT_EQ(run_bounded(scheduler).shards, 2u);
+}
+
 // ---- loss-curve integration: the determinism contract end to end ----
 
 net::SweepConfig small_config() {
@@ -343,6 +478,81 @@ TEST(SweepScheduler, CustomPolicySweepMatchesStandalone) {
       {.scheduler = &scheduler, .name = "custom", .cache = {}});
   scheduler.run();
   expect_points_equal(scheduled.points(), standalone);
+}
+
+TEST(SweepScheduler, PolicyFactoryRunsLazilyOncePerJobInKMajorOrder) {
+  const std::vector<double> grid{30.0, 60.0, 90.0};
+  const net::SweepConfig cfg = small_config();  // 2 replications
+  std::vector<double> calls;  // written only under the sweep's call_once
+  const auto factory = [&calls](double k) {
+    calls.push_back(k);
+    return tcw::core::ControlPolicy::optimal(k, 40.0);
+  };
+  const std::vector<double> k_major{30.0, 30.0, 60.0, 60.0, 90.0, 90.0};
+  const std::string store =
+      ::testing::TempDir() + "/scheduler_lazy_factory.shards";
+  std::filesystem::remove(store);
+
+  for (const unsigned threads : {1u, 3u}) {
+    calls.clear();
+    ThreadPool pool(threads);
+    SweepScheduler scheduler(pool);
+    tcw::exec::ShardCache cache(store, tcw::exec::ShardCache::Mode::Fresh);
+    auto sweep = net::run_sweep(
+        {.config = cfg, .constraints = grid, .make_policy = factory},
+        {.scheduler = &scheduler, .name = "lazy",
+         .cache = net::SweepCacheBinding{&cache, "lazy"}});
+    EXPECT_TRUE(calls.empty()) << "factory ran at enqueue time";
+    run_bounded(scheduler);
+    EXPECT_EQ(calls, k_major) << threads << " thread(s)";
+  }
+
+  // Every shard is in the store now: the factory is never called.
+  calls.clear();
+  ThreadPool pool(2);
+  SweepScheduler scheduler(pool);
+  tcw::exec::ShardCache cache(store, tcw::exec::ShardCache::Mode::Resume);
+  auto cached = net::run_sweep(
+      {.config = cfg, .constraints = grid, .make_policy = factory},
+      {.scheduler = &scheduler, .name = "lazy",
+       .cache = net::SweepCacheBinding{&cache, "lazy"}});
+  EXPECT_EQ(cached.cached_jobs(), cached.jobs());
+  run_bounded(scheduler);
+  EXPECT_TRUE(calls.empty());
+}
+
+TEST(SweepScheduler, GatedFactoryReadsWhatItsPrerequisiteComputed) {
+  // The study pattern: a one-shard job computes a policy parameter, and a
+  // sweep gated on it builds its policies from that value. The result
+  // equals a standalone sweep built from the value directly.
+  const std::vector<double> grid{40.0, 80.0};
+  const net::SweepConfig cfg = small_config();
+  const auto standalone =
+      net::run_sweep({.config = cfg, .constraints = grid,
+                      .make_policy =
+                          [](double k) {
+                            return tcw::core::ControlPolicy::optimal(k, 35.0);
+                          }})
+          .points();
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    SweepScheduler scheduler(pool);
+    double width = 0.0;  // plain: published by the gate
+    const std::size_t solve = scheduler.add_sweep("solve", {[&width] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      width = 35.0;
+    }});
+    auto gated = net::run_sweep(
+        {.config = cfg, .constraints = grid,
+         .make_policy =
+             [&width](double k) {
+               return tcw::core::ControlPolicy::optimal(k, width);
+             }},
+        {.scheduler = &scheduler, .name = "gated", .cache = {},
+         .after = solve});
+    run_bounded(scheduler);
+    expect_points_equal(gated.points(), standalone);
+  }
 }
 
 }  // namespace
