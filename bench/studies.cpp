@@ -13,6 +13,7 @@
 
 #include "analysis/splitting.hpp"
 #include "core/policy.hpp"
+#include "exec/sweep_scheduler.hpp"
 #include "net/aggregate_sim.hpp"
 #include "net/channel_plan.hpp"
 #include "net/fluid_sim.hpp"
@@ -370,18 +371,33 @@ class AdaptiveWidthStudy final : public Study {
     std::printf("== adaptive element (2): SMDP width table vs static "
                 "heuristic (lambda=%.3f, M=%.0f) ==\n\n", lambda_, m);
 
-    // Solve the decision model at every deadline in one Monte-Carlo pass,
-    // as a job on the scheduler next to the other sweeps; the adaptive
-    // arms are gated on it and read their width tables when they start.
+    // Solve the decision model at every deadline as jobs on the scheduler
+    // next to the other sweeps: a replay of the Monte-Carlo stream, the
+    // kernel estimate in blocks across the pool, then policy iteration.
+    // The adaptive arms are gated on the solve and read their width tables
+    // when they start. The models do not depend on the block count; one
+    // block (on one thread) skips the replay.
     smdp::WindowSmdpConfig wcfg;
     wcfg.lambda = lambda_;
     wcfg.tx_slots = static_cast<std::size_t>(tx_);
     wcfg.mc_samples = static_cast<std::size_t>(samples);
+    const std::size_t threads = ctx.scheduler().threads();
+    auto pass = std::make_shared<smdp::WindowModelPass>(
+        wcfg, kDeadlines, threads > 1 ? 2 * threads : 1);
+    const std::size_t replay =
+        ctx.job("smdp/replay", {[pass] { pass->plan(); }});
+    std::vector<std::function<void()>> blocks;
+    for (std::size_t b = 0; b < pass->blocks(); ++b) {
+      blocks.push_back([pass, b] { pass->estimate(b); });
+    }
+    const std::size_t kernel =
+        ctx.job("smdp/kernel", std::move(blocks), replay);
     const StudyContext::Prerequisite solve{
         ctx.job("smdp",
-                [this, wcfg] {
-                  models_ = smdp::solve_window_models(wcfg, kDeadlines);
-                }),
+                {[this, pass, lambda = wcfg.lambda] {
+                  models_ = smdp::solve_window_smdps(pass->models(), lambda);
+                }},
+                kernel),
         "smdp|lambda=" + fp_value(wcfg.lambda) +
             "|tx=" + std::to_string(wcfg.tx_slots) +
             "|max_window=" + std::to_string(wcfg.max_window) +

@@ -56,10 +56,10 @@ net::ScheduledSweep StudyContext::sweep(
 }
 
 std::size_t StudyContext::job(const std::string& name,
-                              std::function<void()> run) {
-  std::vector<std::function<void()>> shards;
-  shards.push_back(std::move(run));
-  return scheduler_.add_sweep(spec_.name + "/" + name, std::move(shards));
+                              std::vector<std::function<void()>> shards,
+                              std::optional<std::size_t> after) {
+  return scheduler_.add_sweep(spec_.name + "/" + name, std::move(shards),
+                              after);
 }
 
 std::shared_ptr<GenericSweep> StudyContext::generic_sweep(

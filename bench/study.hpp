@@ -119,10 +119,14 @@ class StudyContext {
       const std::vector<double>& grid,
       const std::optional<Prerequisite>& after = std::nullopt);
 
-  /// Enqueue one uncached job as the one-shard sweep "<study>/<name>". It
-  /// runs on every run, cached or not (e.g. a model solve that sweeps
-  /// read through Prerequisite); returns its scheduler sweep index.
-  std::size_t job(const std::string& name, std::function<void()> run);
+  /// Enqueue uncached work as the sweep "<study>/<name>", one shard per
+  /// entry of `shards`. It runs on every run, cached or not (e.g. a model
+  /// solve that sweeps read through Prerequisite); returns its scheduler
+  /// sweep index. With `after` (another job's index), no shard starts
+  /// before that job has finished.
+  std::size_t job(const std::string& name,
+                  std::vector<std::function<void()>> shards,
+                  std::optional<std::size_t> after = std::nullopt);
 
   /// Enqueue one cached generic sweep: job i runs `jobs[i]` and stores
   /// the returned payload in slot i. Shard keys derive from

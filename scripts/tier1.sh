@@ -20,7 +20,8 @@
 #     after a SIGKILLed worker;
 # an informational kernel-throughput comparison against the committed
 # baseline, a BENCH_JSON schema check over the smoke logs, the
-# concurrency and kernel tests rebuilt and re-run under ThreadSanitizer,
+# concurrency and kernel tests (including the SMDP kernel estimated in
+# blocks on several threads) rebuilt and re-run under ThreadSanitizer,
 # and the numeric-kernel tests (SMDP kernel estimation, samplers,
 # analytic golden tables, M/G/1) and the finite-station kernel tests
 # (network, its golden table, multichannel, event-skip, fast path)
@@ -81,9 +82,10 @@ cmake --build build-tsan -j --target test_thread_pool \
     test_sweep_determinism test_sweep_scheduler test_flat_deque \
     test_kernel_fastpath test_event_skip test_protocol_engines \
     test_multichannel test_shard_cache test_study test_obs test_dist_exec \
-    test_flight_recorder test_slot_series test_network_golden
+    test_flight_recorder test_slot_series test_network_golden \
+    test_window_model_golden
 (cd build-tsan && ctest --output-on-failure \
-    -R 'ThreadPool|ParallelFor|ResolveThreads|SweepDeterminism|SweepTiming|SweepScheduler|SweepTrace|FlatDeque|NetworkKernel|AggregateKernel|KernelWarmupEdge|EventSkip|ProtocolEngine|MultiChannel|PolicyGrid|ShardCache|StudyCache|StudyRunner|StudyRegistry|StudyTrace|Obs|DistLease|DistGate|SharedStore|DistExec|FlightRecorder|SlotSeries|BoundedRing|TraceLog|NetworkGolden')
+    -R 'ThreadPool|ParallelFor|ResolveThreads|SweepDeterminism|SweepTiming|SweepScheduler|SweepTrace|FlatDeque|NetworkKernel|AggregateKernel|KernelWarmupEdge|EventSkip|ProtocolEngine|MultiChannel|PolicyGrid|ShardCache|StudyCache|StudyRunner|StudyRegistry|StudyTrace|Obs|DistLease|DistGate|SharedStore|DistExec|FlightRecorder|SlotSeries|BoundedRing|TraceLog|NetworkGolden|WindowModelPass')
 echo "== tier-1: numeric + network kernel tests under AddressSanitizer + UBSan =="
 asan_tests="test_window_model test_window_model_golden test_smdp \
     test_sampling test_analytic_golden test_mg1 test_network \

@@ -319,7 +319,7 @@ void Network::purge_expired(Lane& lane, std::uint32_t ch) {
   // arrival), so collided spans below it are dead weight -- prune them.
   lane.collided_spans.erase_below(cutoff);
   if (config_.reference_kernel) {
-    // Seed-era path: per-element deque erase, every station scanned.
+    // Seed-era path: per-element erase, every station scanned.
     for (LaneStation& st : lane.stations) {
       for (auto it = st.queue.begin(); it != st.queue.end();) {
         if (expired(*it)) {
@@ -358,8 +358,8 @@ void Network::purge_expired(Lane& lane, std::uint32_t ch) {
   }
 }
 
-std::ptrdiff_t Network::eligible_index(const std::deque<chan::Message>& q,
-                                       double lo, double hi) {
+std::ptrdiff_t Network::eligible_index(const std::vector<chan::Message>& q,
+                                        double lo, double hi) {
   for (std::size_t i = 0; i < q.size(); ++i) {
     const double stamp = q[i].window_stamp;
     if (stamp >= hi) break;  // queue is sorted by stamp
@@ -368,8 +368,8 @@ std::ptrdiff_t Network::eligible_index(const std::deque<chan::Message>& q,
   return -1;
 }
 
-void Network::restamp_stranded(std::deque<chan::Message>& queue, double now,
-                               double lo, double hi) {
+void Network::restamp_stranded(std::vector<chan::Message>& queue, double now,
+                                double lo, double hi) {
   // Re-stamp any other messages of this station stranded inside the
   // window that is about to be resolved (see header). Restamps exceed
   // `now` and every other stamp is <= now, so in the (stamp-sorted) queue

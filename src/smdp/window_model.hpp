@@ -19,12 +19,15 @@
 // visits the (state, width) pairs in the same order from the same seed, so
 // one Monte-Carlo pass builds the models for a whole set of deadlines: each
 // sample is drawn once and accumulated into every model with K >= i. Each
-// model is bit-identical to building its deadline alone.
+// model is bit-identical to building its deadline alone. WindowModelPass
+// runs that pass in blocks of pairs on several threads, with the same
+// result.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "sim/rng.hpp"
 #include "smdp/policy_iteration.hpp"
 #include "smdp/smdp.hpp"
 
@@ -48,6 +51,49 @@ Smdp build_window_smdp(const WindowSmdpConfig& config);
 /// build_window_smdp with `config.deadline = deadlines[k]`, bit for bit.
 std::vector<Smdp> build_window_smdps(
     const WindowSmdpConfig& config, const std::vector<std::size_t>& deadlines);
+
+/// build_window_smdps in stages, so that the Monte-Carlo pass can run on
+/// several threads. Every (state, width) pair draws from one stream, so a
+/// pair's samples depend on every draw before it: plan() replays the draws
+/// alone (no kernel arithmetic; about half the pass) and keeps the stream
+/// state where each block of pairs starts, estimate(b) builds block b from
+/// that state, and models() assembles the blocks. The models are bit for
+/// bit those of build_window_smdps, for any block count; one block needs
+/// no replay.
+class WindowModelPass {
+ public:
+  /// Splits the pairs up to the largest deadline into `blocks` contiguous
+  /// blocks of about equal expected work (one per pair if there are fewer
+  /// pairs). `config.deadline` is ignored, as in build_window_smdps.
+  WindowModelPass(const WindowSmdpConfig& config,
+                  std::vector<std::size_t> deadlines, std::size_t blocks);
+
+  std::size_t blocks() const { return block_begin_.size() - 1; }
+  /// Record where each block starts in the stream. Call once, first.
+  void plan();
+  /// Estimate the pairs of one block, after plan(). Distinct blocks may
+  /// run concurrently; each block runs once.
+  void estimate(std::size_t block);
+  /// One model per deadline, once every block is estimated. Moves the
+  /// estimates out, so call it once.
+  std::vector<Smdp> models();
+
+ private:
+  struct Pair {
+    std::size_t state;
+    std::size_t width;
+  };
+  WindowSmdpConfig config_;
+  std::vector<std::size_t> deadlines_;
+  std::vector<Pair> pairs_;                // in stream order
+  std::vector<std::size_t> block_begin_;   // first pair per block, then end
+  std::vector<sim::Rng> block_rng_;        // stream state at each block start
+  std::vector<char> estimated_;            // per block; written by its runner
+  // Per pair, one action per deadline (left empty where K < state).
+  std::vector<std::vector<ActionData>> actions_;
+  bool planned_ = false;
+  bool assembled_ = false;
+};
 
 /// Outcome of one windowing process over a unit-width initial window
 /// holding two or more arrivals, elements (1) and (3) at their Theorem-1
@@ -78,5 +124,10 @@ WindowPolicyResult solve_window_model(const WindowSmdpConfig& config);
 /// (build_window_smdps).
 std::vector<WindowPolicyResult> solve_window_models(
     const WindowSmdpConfig& config, const std::vector<std::size_t>& deadlines);
+
+/// Howard policy iteration on every model of build_window_smdps or
+/// WindowModelPass::models(), built at arrival rate `lambda`.
+std::vector<WindowPolicyResult> solve_window_smdps(
+    const std::vector<Smdp>& models, double lambda);
 
 }  // namespace tcw::smdp

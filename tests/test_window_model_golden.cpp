@@ -7,7 +7,10 @@
 //    probabilities) and policy-iteration results, recorded as hex floats
 //    from the per-deadline Monte-Carlo builder the shared pass replaced;
 //  * the shared multi-deadline pass against one build per deadline, bit
-//    for bit, over unsorted and repeated deadlines and a width cap.
+//    for bit, over unsorted and repeated deadlines and a width cap;
+//  * WindowModelPass (the pass in blocks, replayed stream states) against
+//    the one-call pass for every block count, in any block order and on
+//    concurrent threads, plus its stage-order contracts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,9 +18,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "obs/registry.hpp"
 #include "sim/rng.hpp"
 #include "sim/sampling.hpp"
 #include "smdp/policy_iteration.hpp"
@@ -338,6 +343,97 @@ TEST(WindowSmdpShared, SolvesEqualOneSolvePerDeadline) {
     EXPECT_EQ(solved[d].state_actions, one.state_actions) << what;
     EXPECT_EQ(solved[d].stats.iterations, one.stats.iterations) << what;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The pass in blocks.
+
+TEST(WindowModelPass, EveryBlockCountEqualsOnePass) {
+  for (const std::size_t cap : {std::size_t{0}, std::size_t{5}}) {
+    auto cfg = study_like_config(0);
+    cfg.max_window = cap;
+    cfg.mc_samples = 1000;
+    const std::vector<std::size_t> deadlines = {16, 8, 12, 8, 1};
+    const auto want = smdp::build_window_smdps(cfg, deadlines);
+    for (const std::size_t blocks :
+         std::vector<std::size_t>{1, 2, 3, 7, 64, 1000}) {
+      smdp::WindowModelPass pass(cfg, deadlines, blocks);
+      pass.plan();
+      // Last block first: a block depends only on its replayed state.
+      for (std::size_t b = pass.blocks(); b-- > 0;) pass.estimate(b);
+      const auto got = pass.models();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t d = 0; d < deadlines.size(); ++d) {
+        expect_same_model(got[d], want[d],
+                          "cap=" + std::to_string(cap) + " blocks=" +
+                              std::to_string(blocks) +
+                              " K=" + std::to_string(deadlines[d]));
+      }
+    }
+  }
+}
+
+TEST(WindowModelPass, ConcurrentBlocksEqualOnePass) {
+  auto cfg = study_like_config(0);
+  cfg.mc_samples = 1000;
+  const std::vector<std::size_t> deadlines = {12, 16, 24};
+  const auto want = smdp::build_window_smdps(cfg, deadlines);
+  smdp::WindowModelPass pass(cfg, deadlines, 8);
+  ASSERT_EQ(pass.blocks(), 8u);
+  pass.plan();
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&pass, t] {
+      for (std::size_t b = t; b < pass.blocks(); b += 4) pass.estimate(b);
+    });
+  }
+  for (auto& th : threads) th.join();
+  const auto got = pass.models();
+  for (std::size_t d = 0; d < deadlines.size(); ++d) {
+    expect_same_model(got[d], want[d], "K=" + std::to_string(deadlines[d]));
+  }
+}
+
+TEST(WindowModelPass, BlocksBalanceWorkAndNeverExceedPairs) {
+  auto cfg = study_like_config(0);
+  // K = 2 has pairs (1,1), (2,1), (2,2).
+  EXPECT_EQ(smdp::WindowModelPass(cfg, {2}, 10).blocks(), 3u);
+  EXPECT_EQ(smdp::WindowModelPass(cfg, {2}, 3).blocks(), 3u);
+  EXPECT_EQ(smdp::WindowModelPass(cfg, {48}, 8).blocks(), 8u);
+  EXPECT_THROW(smdp::WindowModelPass(cfg, {2}, 0), tcw::ContractViolation);
+}
+
+TEST(WindowModelPass, StagesRunInOrderAndOnce) {
+  auto cfg = study_like_config(0);
+  cfg.mc_samples = 100;
+  smdp::WindowModelPass pass(cfg, {4}, 2);
+  EXPECT_THROW(pass.estimate(0), tcw::ContractViolation);  // before plan
+  pass.plan();
+  EXPECT_THROW(pass.plan(), tcw::ContractViolation);
+  EXPECT_THROW(pass.estimate(2), tcw::ContractViolation);  // no such block
+  pass.estimate(1);
+  EXPECT_THROW(pass.estimate(1), tcw::ContractViolation);
+  EXPECT_THROW(pass.models(), tcw::ContractViolation);  // block 0 missing
+  pass.estimate(0);
+  EXPECT_EQ(pass.models().size(), 1u);
+  EXPECT_THROW(pass.models(), tcw::ContractViolation);  // moved out
+}
+
+TEST(WindowModelPass, CountersAddOncePerPassForAnyBlockCount) {
+  auto& registry = tcw::obs::Registry::global();
+  const tcw::obs::Counter pairs = registry.counter("smdp.kernel_pairs");
+  const tcw::obs::Counter samples = registry.counter("smdp.mc_samples");
+  auto cfg = study_like_config(0);
+  cfg.mc_samples = 100;
+  cfg.max_window = 5;
+  const std::uint64_t pairs_before = pairs.value();
+  const std::uint64_t samples_before = samples.value();
+  smdp::WindowModelPass pass(cfg, {12, 8}, 4);
+  pass.plan();
+  for (std::size_t b = 0; b < pass.blocks(); ++b) pass.estimate(b);
+  // sum_{i=1}^{12} min(i, 5) = 50 pairs, as in one build_window_smdps.
+  EXPECT_EQ(pairs.value() - pairs_before, 50u);
+  EXPECT_EQ(samples.value() - samples_before, 50u * cfg.mc_samples);
 }
 
 }  // namespace
