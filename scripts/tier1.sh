@@ -4,8 +4,9 @@
 #   - fig7_all --quick, the whole Figure-7 job graph;
 #   - kernel_bench --verify, bit-comparing the fast per-slot kernels
 #     against their retained reference paths;
-#   - results_gate.sh: `study_tool --suite` at committed scale must write
-#     every study CSV byte-identical to results/;
+#   - results_gate.sh: `study_tool --suite`, `fig7_all`, `model_validation`
+#     and `smdp_cost` at committed scale must write every committed CSV
+#     byte-identical to results/ (smdp_cost's wall-clock columns masked);
 #   - study_smoke.sh over ablation_window_size, ablation_adaptive_width
 #     (whose adaptive arms are gated on the SMDP solve job), policy_grid,
 #     large_n and multichannel: standalone vs --suite, and truncated-store
@@ -23,7 +24,8 @@
 # concurrency and kernel tests (including the SMDP kernel estimated in
 # blocks on several threads) rebuilt and re-run under ThreadSanitizer,
 # and the numeric-kernel tests (SMDP kernel estimation, samplers,
-# analytic golden tables, M/G/1) and the finite-station kernel tests
+# analytic golden tables, M/G/1, the tiled busy-period kernel and its
+# padded reads, the loss-model fixpoint) and the finite-station kernel tests
 # (network, its golden table, multichannel, event-skip, fast path)
 # rebuilt and re-run under AddressSanitizer + UBSan.
 set -euo pipefail
@@ -49,8 +51,8 @@ cmake --build build --target suite_smoke
 echo "== tier-1: kernel fast-path vs reference smoke =="
 cmake --build build --target kernel_verify_smoke
 
-echo "== tier-1: results gate (study --suite at committed scale vs results/, cmp) =="
-scripts/results_gate.sh build/bench/study_tool build/bench/results_gate
+echo "== tier-1: results gate (suite, fig7, model_validation, smdp_cost vs results/, cmp) =="
+scripts/results_gate.sh build/bench build/bench/results_gate
 
 echo "== tier-1: study smoke (standalone vs --suite vs resume, cmp) =="
 scripts/study_smoke.sh build/bench/study_tool build/bench/study_smoke \
@@ -88,7 +90,8 @@ cmake --build build-tsan -j --target test_thread_pool \
     -R 'ThreadPool|ParallelFor|ResolveThreads|SweepDeterminism|SweepTiming|SweepScheduler|SweepTrace|FlatDeque|NetworkKernel|AggregateKernel|KernelWarmupEdge|EventSkip|ProtocolEngine|MultiChannel|PolicyGrid|ShardCache|StudyCache|StudyRunner|StudyRegistry|StudyTrace|Obs|DistLease|DistGate|SharedStore|DistExec|FlightRecorder|SlotSeries|BoundedRing|TraceLog|NetworkGolden|WindowModelPass')
 echo "== tier-1: numeric + network kernel tests under AddressSanitizer + UBSan =="
 asan_tests="test_window_model test_window_model_golden test_smdp \
-    test_sampling test_analytic_golden test_mg1 test_network \
+    test_sampling test_analytic_golden test_mg1 test_busy_period \
+    test_loss_model test_network \
     test_network_golden test_multichannel test_event_skip \
     test_kernel_fastpath"
 cmake -B build-asan -S . -DTCW_SANITIZE=address,undefined >/dev/null

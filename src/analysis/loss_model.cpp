@@ -64,7 +64,12 @@ ControlledLossPoint controlled_loss_at(const ProtocolModelConfig& cfg,
   ControlledLossPoint point;
   point.K = K;
 
+  // Secant iteration on g(p) = loss(p) - p, one eq. 4.7 evaluation per
+  // step. With no previous point, with a repeated g, or when the secant
+  // leaves [0, 1], the step falls back to the damped p <- (p + loss(p))/2.
   double p = std::clamp(initial_guess, 0.0, 1.0);
+  double prev_p = 0.0;
+  double prev_g = 0.0;
   bool converged = false;
   while (point.iterations < cfg.fixpoint_max_iters && !converged) {
     ++point.iterations;
@@ -78,8 +83,16 @@ ControlledLossPoint controlled_loss_at(const ProtocolModelConfig& cfg,
     point.p_idle = loss.p_idle;
     point.sched_mean =
         service.mean() - static_cast<double>(transmission_slots(cfg));
-    converged = std::abs(loss.p_loss - p) < cfg.fixpoint_tol;
-    p = 0.5 * p + 0.5 * loss.p_loss;  // damped update
+    const double g = loss.p_loss - p;
+    converged = std::abs(g) < cfg.fixpoint_tol;
+    double step = 0.5 * p + 0.5 * loss.p_loss;
+    if (point.iterations > 1 && g != prev_g) {
+      const double secant = p - g * (p - prev_p) / (g - prev_g);
+      if (secant >= 0.0 && secant <= 1.0) step = secant;
+    }
+    prev_p = p;
+    prev_g = g;
+    p = step;
   }
   fixpoint_iters().add(static_cast<std::uint64_t>(point.iterations));
   point.p_loss = p;

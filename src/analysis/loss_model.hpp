@@ -9,7 +9,9 @@
 //    actually enter service, because sender discard (element 4) thins the
 //    windows. Following the paper, the loss at each K is found by a
 //    fixpoint iteration anchored at K = 0, where the scheduling time is
-//    exactly 0 and the loss is rho/(1+rho) in closed form.
+//    exactly 0 and the loss is rho/(1+rho) in closed form. The iteration
+//    takes secant steps on loss(p) - p, falling back to the damped step
+//    p <- (p + loss(p))/2 where no secant step applies.
 //  * The scheduling distribution is either the geometric fit used by the
 //    paper (mean matched to the exact renewal analysis of splitting.hpp)
 //    or the exact conditional distribution.
@@ -47,7 +49,7 @@ struct ControlledLossPoint {
   double sched_mean = 0.0; // mean scheduling slots per served message
   double p_idle = 0.0;     // P(server idle)
   double nu_eff = 0.0;     // effective window load used for scheduling
-  int iterations = 0;      // fixpoint iterations performed
+  int iterations = 0;      // eq. 4.7 loss evaluations of the fixpoint
 };
 
 /// Message service-time distribution (scheduling + transmission) when the

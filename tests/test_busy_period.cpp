@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "analysis/mg1.hpp"
 #include "dist/families.hpp"
@@ -123,6 +128,104 @@ TEST(BusyPeriod, TailMatchesBruteForceSimulation) {
     const double sim_tail =
         simulate_busy_period_tail(lambda, service, k, 200000, 11);
     EXPECT_NEAR(model_tail, sim_tail, 0.01) << "K=" << k;
+  }
+}
+
+// The recursion busy_period_from_work tiles, as a plain scatter on the full
+// lattice: A_n = A_{n-1} + one slot of work by next[m + j] += A[m] * q over
+// ascending m, then the cycle lemma over ascending j. Every cell adds the
+// same nonzero terms in the same order as the kernel, so the two agree bit
+// for bit.
+dist::Pmf naive_busy_period(const dist::Pmf& initial,
+                            const dist::Pmf& service, double lambda,
+                            std::size_t max_len) {
+  const dist::Pmf work = analysis::one_slot_work(service, lambda);
+  std::vector<double> out(max_len, 0.0);
+  out[0] = initial.at(0);
+  std::vector<double> arrived(max_len, 0.0);
+  arrived[0] = 1.0;
+  for (std::size_t n = 1; n < max_len; ++n) {
+    std::vector<double> next(max_len, 0.0);
+    for (std::size_t m = 0; m < max_len; ++m) {
+      for (std::size_t j = 0; j < work.size() && m + j < max_len; ++j) {
+        if (work.at(j) > 1e-15) next[m + j] += arrived[m] * work.at(j);
+      }
+    }
+    arrived.swap(next);
+    double mass = 0.0;
+    for (std::size_t j = 1; j < initial.size() && j <= n; ++j) {
+      mass += initial.at(j) * static_cast<double>(j) /
+              static_cast<double>(n) * arrived[n - j];
+    }
+    out[n] = mass;
+  }
+  double total = 0.0;
+  for (const double v : out) total += v;
+  return dist::Pmf(std::move(out),
+                   std::max(0.0, initial.total_mass() - total));
+}
+
+void expect_same_bits(const dist::Pmf& got, const dist::Pmf& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t n = 0; n < want.size(); ++n) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.at(n)),
+              std::bit_cast<std::uint64_t>(want.at(n)))
+        << what << " P(T = " << n << "): got " << got.at(n) << ", want "
+        << want.at(n);
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.tail_mass()),
+            std::bit_cast<std::uint64_t>(want.tail_mass()))
+      << what << " tail mass";
+}
+
+// The kernel computes 16 cells per tile; the lengths run from 2 (shorter
+// than one tile) to three tiles and one cell.
+constexpr std::size_t kMaxLenTop = 3 * 16 + 1;
+
+TEST(BusyPeriodTiles, MatchNaiveScatterOnEveryLengthAndStride) {
+  // Strides 1, 3 and 10. The one-slot work has support entries up to
+  // about eight services, so short tables drop entries at and beyond
+  // max_len (for stride 10, every nonzero one below 10 slots).
+  for (const std::size_t stride : {1u, 3u, 10u}) {
+    const auto s = dist::deterministic(stride);
+    const double lambda = 0.4 / static_cast<double>(stride);
+    for (std::size_t len = 2; len <= kMaxLenTop; ++len) {
+      expect_same_bits(analysis::busy_period_distribution(s, lambda, len),
+                       naive_busy_period(s, s, lambda, len),
+                       "g=" + std::to_string(stride) +
+                           " len=" + std::to_string(len));
+    }
+  }
+}
+
+TEST(BusyPeriodTiles, MatchNaiveScatterForWideGeometricSupport) {
+  // Stride 1 with a support that reaches past one tile: the service of
+  // the Figure-7 baselines at M = 25.
+  const auto s = dist::geometric0_with_mean(1.5).shifted(26);
+  const double lambda = 0.02;
+  for (std::size_t len = 2; len <= kMaxLenTop; ++len) {
+    expect_same_bits(analysis::busy_period_distribution(s, lambda, len),
+                     naive_busy_period(s, s, lambda, len),
+                     "len=" + std::to_string(len));
+  }
+  expect_same_bits(analysis::busy_period_distribution(s, lambda, 300),
+                   naive_busy_period(s, s, lambda, 300), "len=300");
+}
+
+TEST(BusyPeriodTiles, MatchNaiveScatterWithAtomAtZeroAndOffLatticeWork) {
+  // An initial work with an atom at 0, and one that is off the service's
+  // stride-10 lattice (the LCFS residual, shifted one slot).
+  const auto s = dist::deterministic(10);
+  const dist::Pmf atom(std::vector<double>{0.25, 0.1, 0.0, 0.4, 0.25});
+  const dist::Pmf residual = s.equilibrium().shifted(1);
+  for (std::size_t len = 2; len <= kMaxLenTop; ++len) {
+    const std::string at = " len=" + std::to_string(len);
+    expect_same_bits(analysis::busy_period_from_work(atom, s, 0.05, len),
+                     naive_busy_period(atom, s, 0.05, len), "atom" + at);
+    expect_same_bits(analysis::busy_period_from_work(residual, s, 0.05, len),
+                     naive_busy_period(residual, s, 0.05, len),
+                     "residual" + at);
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "analysis/mg1.hpp"
 #include "analysis/splitting.hpp"
@@ -18,6 +20,39 @@ analysis::ProtocolModelConfig paper_config(double rho, double m) {
   cfg.offered_load = rho;
   cfg.message_length = m;
   return cfg;
+}
+
+// One application of the fixpoint map: eq. 4.7 when a fraction 1 - p of
+// the messages is accepted and so scheduled.
+double loss_at(const analysis::ProtocolModelConfig& cfg, double K, double p) {
+  const double nu = K == 0.0 ? 0.0 : analysis::effective_window_load(1.0 - p);
+  return analysis::mg1_impatient_loss(analysis::service_distribution(cfg, nu),
+                                      cfg.lambda(), K, cfg.refine)
+      .p_loss;
+}
+
+// Reference: the damped iteration p <- (p + loss(p))/2, with the stopping
+// test and the cap of controlled_loss_at. Returns p and the evaluations.
+std::pair<double, int> damped_fixpoint(const analysis::ProtocolModelConfig& cfg,
+                                       double K, double p) {
+  int evaluations = 0;
+  while (evaluations < cfg.fixpoint_max_iters) {
+    ++evaluations;
+    const double loss = loss_at(cfg, K, p);
+    const bool converged = std::abs(loss - p) < cfg.fixpoint_tol;
+    p = 0.5 * p + 0.5 * loss;
+    if (converged) break;
+  }
+  return {p, evaluations};
+}
+
+// A Figure-7 panel's K grid.
+std::vector<double> figure7_grid(double m) {
+  std::vector<double> grid;
+  for (const double r : {0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0}) {
+    grid.push_back(r * m);
+  }
+  return grid;
 }
 
 TEST(EffectiveWindowLoad, ScalesWithAcceptance) {
@@ -135,8 +170,8 @@ TEST(ControlledLoss, UnsortedGridRejected) {
 }
 
 TEST(ControlledLoss, CountersTrackFixpointAndRenewalSolves) {
-  // Every fixpoint iteration at K > 0 solves the left and the right
-  // renewal bracket once each; the counters move once per call.
+  // Every loss evaluation of the fixpoint at K > 0 solves the left and the
+  // right renewal bracket once each; the counters move once per call.
   auto& registry = tcw::obs::Registry::global();
   const tcw::obs::Counter iters = registry.counter("analysis.fixpoint_iters");
   const tcw::obs::Counter solves = registry.counter("analysis.renewal_solves");
@@ -151,6 +186,28 @@ TEST(ControlledLoss, CountersTrackFixpointAndRenewalSolves) {
   EXPECT_GT(sum, curve.size());
   EXPECT_EQ(iters.value() - iters_before, sum);
   EXPECT_EQ(solves.value() - solves_before, 2 * sum);
+}
+
+TEST(ControlledLoss, SecantOutsideUnitIntervalFallsBackToDamped) {
+  // At K = 16 M eq. 4.7 returns rounding noise of about -2.5e-13, so from
+  // p = 1 every secant step (after the damped first step) lands below 0:
+  // the iteration is the damped one throughout and must match it exactly.
+  const auto cfg = paper_config(0.25, 25.0);
+  const double K = 400.0;
+  const double p0 = 1.0;
+  const double loss0 = loss_at(cfg, K, p0);
+  const double g0 = loss0 - p0;
+  const double p1 = 0.5 * p0 + 0.5 * loss0;
+  const double g1 = loss_at(cfg, K, p1) - p1;
+  const double secant = p1 - g1 * (p1 - p0) / (g1 - g0);
+  ASSERT_FALSE(secant >= 0.0 && secant <= 1.0) << secant;
+  const auto pt = analysis::controlled_loss_at(cfg, K, p0);
+  const auto [damped, evaluations] = damped_fixpoint(cfg, K, p0);
+  EXPECT_LT(pt.iterations, cfg.fixpoint_max_iters);
+  EXPECT_EQ(pt.iterations, evaluations);
+  EXPECT_EQ(pt.p_loss, damped);
+  EXPECT_GE(pt.p_loss, 0.0);
+  EXPECT_NEAR(loss_at(cfg, K, pt.p_loss), pt.p_loss, 1e-9);
 }
 
 TEST(FcfsBaseline, WorseThanControlledAtEveryK) {
@@ -192,6 +249,37 @@ TEST_P(ControlledLossGridTest, LossIsAProbabilityEverywhere) {
     EXPECT_GE(pt.sched_mean, -1e-9);
     EXPECT_GT(pt.rho, 0.0);
   }
+}
+
+TEST_P(ControlledLossGridTest, FixpointIsSelfConsistentOnFigure7Grid) {
+  const auto [rho, m] = GetParam();
+  const auto cfg = paper_config(rho, m);
+  for (const auto& pt : analysis::controlled_loss_curve(cfg, figure7_grid(m))) {
+    EXPECT_NEAR(loss_at(cfg, pt.K, pt.p_loss), pt.p_loss, 1e-9) << pt.K;
+    EXPECT_LT(pt.iterations, cfg.fixpoint_max_iters);
+  }
+}
+
+TEST_P(ControlledLossGridTest, FixpointAgreesWithDampedReference) {
+  const auto [rho, m] = GetParam();
+  const auto cfg = paper_config(rho, m);
+  const auto grid = figure7_grid(m);
+  const auto curve = analysis::controlled_loss_curve(cfg, grid);
+  // Warm-started along the grid from the K = 0 anchor, as the curve is.
+  const double rho0 = cfg.lambda() * (m + cfg.success_overhead);
+  double guess = rho0 / (1.0 + rho0);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    guess = damped_fixpoint(cfg, grid[i], guess).first;
+    EXPECT_NEAR(curve[i].p_loss, guess, 1e-10) << grid[i];
+  }
+}
+
+TEST_P(ControlledLossGridTest, KZeroConvergesInOneEvaluation) {
+  // The curve's anchor guess is the closed-form loss at K = 0.
+  const auto [rho, m] = GetParam();
+  const auto curve = analysis::controlled_loss_curve(paper_config(rho, m),
+                                                     {0.0});
+  EXPECT_EQ(curve[0].iterations, 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(
