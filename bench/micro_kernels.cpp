@@ -83,18 +83,18 @@ void BM_RenewalFunction(benchmark::State& state) {
 BENCHMARK(BM_RenewalFunction)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_BusyPeriod(benchmark::State& state) {
-  // Args = {lattice stride g of the one-slot work, busy-period length}.
-  // g = 1: the geometric-shifted service of Figure 7's LCFS baseline
-  // (rho' = 0.5, M = 25); g = 10: deterministic(10) at rho = 0.5.
+  // Args = {det, busy-period length}. det = 0: the geometric-shifted
+  // service of Figure 7's LCFS baseline (rho' = 0.5, M = 25); det = 10:
+  // deterministic(10) at rho = 0.5.
   tcw::analysis::ProtocolModelConfig cfg;
   cfg.offered_load = 0.5;
   cfg.message_length = 25.0;
-  const bool stride_one = state.range(0) == 1;
+  const bool figure7 = state.range(0) == 0;
   const auto service =
-      stride_one ? tcw::analysis::service_distribution(
-                       cfg, tcw::analysis::optimal_window_load())
-                 : tcw::dist::deterministic(10);
-  const double lambda = stride_one ? cfg.lambda() : 0.05;
+      figure7 ? tcw::analysis::service_distribution(
+                    cfg, tcw::analysis::optimal_window_load())
+              : tcw::dist::deterministic(10);
+  const double lambda = figure7 ? cfg.lambda() : 0.05;
   const auto len = static_cast<std::size_t>(state.range(1));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -102,8 +102,8 @@ void BM_BusyPeriod(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BusyPeriod)
-    ->ArgNames({"g", "len"})
-    ->Args({1, 400})
+    ->ArgNames({"det", "len"})
+    ->Args({0, 400})
     ->Args({10, 2000});
 
 void BM_ImpatientLoss(benchmark::State& state) {

@@ -8,7 +8,16 @@
 //     P(T = n | V = j) = (j/n) * P(A_n = n - j),    n >= j >= 1,
 //
 // where A_n is the total work (in slots) arriving over an interval of
-// length n -- an n-fold convolution of the one-slot compound-Poisson work.
+// length n. That work is a sum of N services with N ~ Poisson(n lambda),
+// so P(A_n = m) = sum_k Pois(n lambda; k) S_k(m), S_k the k-fold
+// convolution of the service pmf B, independent of n. With D(j) = j P(V = j)
+// the busy period is a Poisson mixture over the number of arrivals:
+//
+//     P(T = n) = (1/n) sum_k Pois(n lambda; k) E_k(n),
+//     E_0 = D,  E_k = E_{k-1} * B.
+//
+// A service takes at least s_min >= 1 slots, so E_k vanishes below
+// 1 + k s_min and the sum over k ends after about max_len / s_min terms.
 //
 // Non-preemptive LCFS waiting (the analytic counterpart of the paper's
 // LCFS baseline, which [Kurose 83] handled by approximation): an arrival
@@ -21,15 +30,11 @@
 
 namespace tcw::analysis {
 
-/// Distribution of the total work arriving in one slot: a compound
-/// Poisson(lambda) of the service distribution, truncated at `tol`.
-dist::Pmf one_slot_work(const dist::Pmf& service, double lambda,
-                        double tol = 1e-15);
-
 /// Busy period initiated by work distributed as `initial` (which may have
 /// an atom at 0 meaning "no busy period"). Truncated at `max_len` slots;
 /// the truncated probability is reported as tail mass. Requires rho < 1
-/// for the tail to vanish as max_len grows.
+/// for the tail to vanish as max_len grows, and a service that takes at
+/// least one slot (service.at(0) == 0).
 dist::Pmf busy_period_from_work(const dist::Pmf& initial,
                                 const dist::Pmf& service, double lambda,
                                 std::size_t max_len);

@@ -122,7 +122,8 @@ double lcfs_nodiscard_loss(const ProtocolModelConfig& cfg, double K) {
   const dist::Pmf service = service_distribution(cfg, optimal_window_load());
   const double rho = offered_intensity(service, cfg.lambda());
   if (rho >= 1.0) return 1.0;
-  return 1.0 - lcfs_waiting_cdf(service, cfg.lambda(), K);
+  // Clamped at 0 against cancellation in 1 - P(W <= K) at large K.
+  return std::max(0.0, 1.0 - lcfs_waiting_cdf(service, cfg.lambda(), K));
 }
 
 double fcfs_nodiscard_loss(const ProtocolModelConfig& cfg, double K) {
@@ -132,7 +133,9 @@ double fcfs_nodiscard_loss(const ProtocolModelConfig& cfg, double K) {
   const dist::Pmf service = service_distribution(cfg, optimal_window_load());
   const double rho = offered_intensity(service, cfg.lambda());
   if (rho >= 1.0) return 1.0;
-  return 1.0 - mg1_waiting_cdf(service, cfg.lambda(), K, cfg.refine);
+  // Clamped at 0 against cancellation in 1 - P(W <= K) at large K.
+  return std::max(0.0,
+                  1.0 - mg1_waiting_cdf(service, cfg.lambda(), K, cfg.refine));
 }
 
 }  // namespace tcw::analysis

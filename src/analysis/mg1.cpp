@@ -144,7 +144,11 @@ ZBracket z_bracket(const dist::Pmf& service, double lambda, double K,
   return ZBracket{sum_prefix(u_right, k_sub), sum_prefix(u_left, k_sub)};
 }
 
-double loss_from_z(double rho, double z) { return 1.0 - z / (1.0 + rho * z); }
+// Clamped at 0: at large K, z -> 1/(1 - rho) and the difference cancels
+// to a few ulps of either sign.
+double loss_from_z(double rho, double z) {
+  return std::max(0.0, 1.0 - z / (1.0 + rho * z));
+}
 
 }  // namespace
 

@@ -5,12 +5,14 @@
 //    Figure-7 K grids -- the three M = 25 panels in full, plus
 //    rho' = 0.5, M = 100 at two constraints;
 //  * busy-period pmf entries for the geometric-shifted service Figure 7
-//    uses (a one-slot work lattice of stride 1) and for deterministic(10)
-//    (stride 10).
-// A faster kernel is only admissible if it keeps every floating-point
-// addition in the same order, and these tables are the check. On a
-// mismatch the message carries the computed value in the same %a form,
-// so a deliberate model change can re-record the table from it.
+//    uses (a wide service support) and for deterministic(10) (a single
+//    spike).
+// A kernel that keeps every floating-point addition in the same order
+// passes unchanged; a deliberate numerical change (such as the busy
+// period's Poisson mixture over arrival counts) re-records the table and
+// states how far each value moved. On a mismatch the message carries the
+// computed value in the same %a form, so the table can be re-recorded
+// from it.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -68,18 +70,18 @@ const std::vector<PanelGolden>& panels() {
          0x1.0aef5fecf2d94p-3, 0x1.700429acbee2p-5, 0x1.11624f6050fabp-6,
          0x1.73ba5125c3d81p-8, 0x1.831395a90dc01p-11, 0x1.90af120861562p-14,
          0x1.a8daf7abffff6p-20, 0x1.c17789fffffe5p-26, 0x1.d443fffff9bbbp-38,
-         0x1.b08ffffff9bbbp-39},
+         0x1.d443fffff9bbbp-39},
      .iterations = {5, 5, 4, 4, 4, 3, 3, 3, 3, 1},
      .fcfs = {
          0x1.5ed146a86470cp-3, 0x1.f35b7438a3dbp-5, 0x1.74fc655d1d78p-6,
          0x1.fc9e47dc67ep-8, 0x1.08f868de8a2p-10, 0x1.124a05af8fp-13,
          0x1.22d53d17p-19, 0x1.33ae381p-25, 0x1.408ap-37,
-         -0x1.874p-41},
+         0x0p+0},
      .lcfs = {
-         0x1.41af9ce0b5b8cp-3, 0x1.9572ee385a26p-5, 0x1.f3fbdd611e8cp-6,
-         0x1.0bf039c331ep-6, 0x1.a600ed637be8p-8, 0x1.690cae813fp-9,
-         0x1.2c627b4403p-11, 0x1.12594303e8p-13, 0x1.152acc257p-17,
-         0x1.734115c7p-21},
+         0x1.41af9ce0b5b8cp-3, 0x1.9572ee385a27p-5, 0x1.f3fbdd611e92p-6,
+         0x1.0bf039c331e6p-6, 0x1.a600ed637c08p-8, 0x1.690cae813f4p-9,
+         0x1.2c627b4404p-11, 0x1.12594303c4p-13, 0x1.152acc1d6p-17,
+         0x1.7341152dp-21},
     },
     {.offered_load = 0.5,
      .message_length = 25,
@@ -96,10 +98,10 @@ const std::vector<PanelGolden>& panels() {
          0x1.5590d0626b6p-10, 0x1.52e80dcb78p-13, 0x1.4de9b7f14p-19,
          0x1.4951dd3p-25},
      .lcfs = {
-         0x1.4fcd2f799182p-2, 0x1.3270a6669e3fp-3, 0x1.d84f3a55dc568p-4,
-         0x1.43ccdd8c9c0a8p-4, 0x1.9078dde67aacp-5, 0x1.0adf7046ce68p-5,
-         0x1.0aa9c02e3d5cp-6, 0x1.22c74b372654p-7, 0x1.90cd696f2b9p-9,
-         0x1.42c7d5f883p-10},
+         0x1.4fcd2f7991826p-2, 0x1.3270a6669e418p-3, 0x1.d84f3a55dc5ep-4,
+         0x1.43ccdd8c9c15p-4, 0x1.9078dde67ac7p-5, 0x1.0adf7046ce87p-5,
+         0x1.0aa9c02e3dap-6, 0x1.22c74b3726c8p-7, 0x1.90cd696f27ep-9,
+         0x1.42c7d5f86b8p-10},
     },
     {.offered_load = 0.75,
      .message_length = 25,
@@ -116,10 +118,10 @@ const std::vector<PanelGolden>& panels() {
          0x1.6dacfc2da5dd8p-4, 0x1.56654c8186b3p-5, 0x1.2c39f76e5aap-7,
          0x1.074bca90256p-9},
      .lcfs = {
-         0x1.059bb3c6b7d47p-1, 0x1.27f152db25b28p-2, 0x1.f488909f0ae5p-3,
-         0x1.8974b3c6ab4f4p-3, 0x1.2aaf128bae7a4p-3, 0x1.e2191d25c15c8p-4,
-         0x1.5937b0064d0b8p-4, 0x1.08ff1b3aff658p-4, 0x1.5cb645aa4e41p-5,
-         0x1.f8bad281b2c8p-6},
+         0x1.059bb3c6b7d47p-1, 0x1.27f152db25b32p-2, 0x1.f488909f0ae68p-3,
+         0x1.8974b3c6ab50cp-3, 0x1.2aaf128bae7cp-3, 0x1.e2191d25c1608p-4,
+         0x1.5937b0064d1p-4, 0x1.08ff1b3aff6ap-4, 0x1.5cb645aa4e2fp-5,
+         0x1.f8bad281b1e4p-6},
     },
     {.offered_load = 0.5,
      .message_length = 100,
@@ -130,7 +132,7 @@ const std::vector<PanelGolden>& panels() {
      .fcfs = {
          0x1.87be5c108b8b4p-3, 0x1.6753868cbf48p-8},
      .lcfs = {
-         0x1.e07e05fd73158p-4, 0x1.6b4a2ea1aad4p-6},
+         0x1.e07e05fd7316p-4, 0x1.6b4a2ea1a9ccp-6},
     },
   };
   return table;
@@ -175,7 +177,7 @@ TEST(AnalyticGolden, Figure7Rho50M100TwoConstraints) {
 
 TEST(AnalyticGolden, BusyPeriodGeometricShiftedService) {
   // The LCFS baseline's service at rho' = 0.5, M = 25: transmission plus
-  // a geometric scheduling delay, so the one-slot work has stride 1.
+  // a geometric scheduling delay, so the service spans 39 slots (26 to 64).
   analysis::ProtocolModelConfig cfg;
   cfg.offered_load = 0.5;
   cfg.message_length = 25.0;
@@ -186,18 +188,18 @@ TEST(AnalyticGolden, BusyPeriodGeometricShiftedService) {
       .len = 400,
       .stride = 13,
       .entries = {
-          0x0p+0, 0x0p+0, 0x1.36ca9e83827f3p-2,
-          0x1.6ba342a6150edp-16, 0x1.88670078b1c9p-5, 0x1.f62b24a9a59p-15,
-          0x1.73953856a1b1bp-7, 0x1.e56e801bf5564p-14, 0x1.a1087d6ca4831p-9,
-          0x1.7befb0fcfbcebp-13, 0x1.0120b9c248ffdp-10, 0x1.ffd16133ddcbap-13,
-          0x1.50da3a0815d57p-12, 0x1.33460fcf9ab33p-12, 0x1.cdbe081fc4d4ep-14,
-          0x1.50839db75a5afp-12, 0x1.4c7016c290b21p-15, 0x1.55a6d2997dcd4p-12,
-          0x1.089c179240143p-16, 0x1.457676a5bc76ep-12, 0x1.0e8588d920407p-17,
-          0x1.259ca9e52e822p-12, 0x1.a06b1e69acc3dp-18, 0x1.f95b1bb156624p-13,
-          0x1.b87e5208a536ap-18, 0x1.a15087d36bbcp-13, 0x1.04821b04c4507p-17,
-          0x1.4c46b557c2dd5p-13, 0x1.353fb6865172p-17, 0x1.00218be73d35p-13,
-          0x1.645241bdf11ap-17},
-      .tail_mass = 0x1.6a7563f41998p-8,
+          0x0p+0, 0x0p+0, 0x1.36ca9e83827cbp-2,
+          0x1.6ba342a6150a7p-16, 0x1.88670078b1c2fp-5, 0x1.f62b24a9a585dp-15,
+          0x1.73953856a1a8bp-7, 0x1.e56e801bf5487p-14, 0x1.a1087d6ca475bp-9,
+          0x1.7befb0fcfbc0bp-13, 0x1.0120b9c248f58p-10, 0x1.ffd16133ddb49p-13,
+          0x1.50da3a0815c55p-12, 0x1.33460fcf9aa27p-12, 0x1.cdbe081fc70cfp-14,
+          0x1.50839db75a45fp-12, 0x1.4c7016c29ec3fp-15, 0x1.55a6d2997db89p-12,
+          0x1.089c179268bc9p-16, 0x1.457676a5bc6b8p-12, 0x1.0e8588d976b0dp-17,
+          0x1.259ca9e52e8a4p-12, 0x1.a06b1e6a51174p-18, 0x1.f95b1bb156af7p-13,
+          0x1.b87e520942b4p-18, 0x1.a15087d36c5a1p-13, 0x1.04821b051480ep-17,
+          0x1.4c46b557c3d64p-13, 0x1.353fb686a6dbdp-17, 0x1.00218be73e8c2p-13,
+          0x1.645241be4c5b6p-17},
+      .tail_mass = 0x1.6a7563f406b8p-8,
   };
   check_busy_period(service, g);
 }
@@ -208,19 +210,19 @@ TEST(AnalyticGolden, BusyPeriodDeterministicTen) {
       .len = 1000,
       .stride = 30,
       .entries = {
-          0x0p+0, 0x1.56ba595b885cp-4, 0x1.134d7570b8521p-6,
-          0x1.515bcff0d13b5p-8, 0x1.ec2713885b9ep-10, 0x1.8b1c79efcdfbdp-11,
-          0x1.511420e749e21p-12, 0x1.2be702aadb4aep-13, 0x1.132993f505cccp-14,
-          0x1.02783c2474547p-15, 0x1.eeac8c79b43edp-17, 0x1.e087f38163f06p-18,
-          0x1.d89e9ecf28195p-19, 0x1.d5b528c229eddp-20, 0x1.d6f9d03422badp-21,
-          0x1.dbe0053ebc26fp-22, 0x1.e40a6ab92371p-23, 0x1.ef3d1944fcd9bp-24,
-          0x1.fd54cce4016eep-25, 0x1.07208dfec060cp-25, 0x1.11004f67b079ap-26,
-          0x1.1c4f2ee05aa61p-27, 0x1.29180eb494f28p-28, 0x1.376aa2be1e3d5p-29,
-          0x1.475b1ba68e50fp-30, 0x1.5901fbb777973p-31, 0x1.6c7c0bc162a2bp-32,
-          0x1.81ea69c9e8b37p-33, 0x1.9972ad533328fp-34, 0x1.b33f1e894e232p-35,
-          0x1.cf7efeae8cfb8p-36, 0x1.ee66e0e4f89a6p-37, 0x1.08188983c8b18p-37,
-          0x1.1a8f0b5d8d05ap-38},
-      .tail_mass = 0x1.32258p-36,
+          0x0p+0, 0x1.56ba595b88515p-4, 0x1.134d7570b8414p-6,
+          0x1.515bcff0d1238p-8, 0x1.ec2713885c52dp-10, 0x1.8b1c79efd09d4p-11,
+          0x1.511420e74f23cp-12, 0x1.2be702aae3982p-13, 0x1.132993f5117b4p-14,
+          0x1.02783c2483a8ap-15, 0x1.eeac8c79dace8p-17, 0x1.e087f3819305cp-18,
+          0x1.d89e9ecf6068bp-19, 0x1.d5b528c26c49p-20, 0x1.d6f9d034701adp-21,
+          0x1.dbe0053f15916p-22, 0x1.e40a6ab98a15p-23, 0x1.ef3d19457204bp-24,
+          0x1.fd54cce486b9p-25, 0x1.07208dff0bf06p-25, 0x1.11004f6805eb4p-26,
+          0x1.1c4f2ee0bb0a7p-27, 0x1.29180eb50176cp-28, 0x1.376aa2be984c8p-29,
+          0x1.475b1ba717506p-30, 0x1.5901fbb8113f5p-31, 0x1.6c7c0bc20ed03p-32,
+          0x1.81ea69caa970fp-33, 0x1.9972ad540ac92p-34, 0x1.b33f1e8a3f55cp-35,
+          0x1.cf7efeaf9a849p-36, 0x1.ee66e0e625bbdp-37, 0x1.0818898470e7fp-37,
+          0x1.1a8f0b5e48cf6p-38},
+      .tail_mass = 0x1.3223p-36,
   };
   check_busy_period(dist::deterministic(10), g);
   // Off the stride-10 lattice every entry is exactly +0.0.

@@ -1,6 +1,6 @@
 // Validates the lattice busy-period machinery (Takacs/cycle-lemma) against
-// closed forms and a brute-force workload simulation, and the LCFS
-// waiting-time model built on it.
+// closed forms, the n-step arrived-work recursion and a brute-force
+// workload simulation, and the LCFS waiting-time model built on it.
 #include "analysis/busy_period.hpp"
 
 #include <gtest/gtest.h>
@@ -10,8 +10,10 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "analysis/loss_model.hpp"
 #include "analysis/mg1.hpp"
 #include "dist/families.hpp"
 #include "obs/registry.hpp"
@@ -24,10 +26,40 @@ namespace {
 namespace analysis = tcw::analysis;
 namespace dist = tcw::dist;
 
+/// Distribution of the total work arriving in one slot: a compound
+/// Poisson(lambda) of the service distribution, truncated at `tol`. The
+/// oracle below steps A_n forward by it one slot at a time.
+dist::Pmf one_slot_work(const dist::Pmf& service, double lambda,
+                        double tol = 1e-15) {
+  // sum_j e^-lambda lambda^j / j! * B^(j); the Poisson weights die fast
+  // for the per-slot rates this library works at (lambda << 1).
+  std::vector<dist::Pmf> components;
+  std::vector<double> weights;
+  double weight = std::exp(-lambda);
+  dist::Pmf convolution_power(std::vector<double>{1.0});  // B^(0)
+  std::size_t j = 0;
+  double remaining = 1.0;
+  const std::size_t cap = 64 * service.size() + 64;
+  while (remaining > tol && j < 200) {
+    components.push_back(convolution_power);
+    weights.push_back(weight);
+    remaining -= weight;
+    ++j;
+    weight *= lambda / static_cast<double>(j);
+    convolution_power = dist::Pmf::convolve(convolution_power, service, cap);
+  }
+  dist::Pmf out = dist::Pmf::mixture(components, weights);
+  // The dropped Poisson tail is genuine probability mass "somewhere high".
+  out = dist::Pmf(out.probabilities(), out.tail_mass() +
+                                           std::max(remaining, 0.0));
+  out.trim(0.0);
+  return out;
+}
+
 TEST(OneSlotWork, MassAndMean) {
   const auto s = dist::deterministic(10);
   const double lambda = 0.05;
-  const auto c1 = analysis::one_slot_work(s, lambda);
+  const auto c1 = one_slot_work(s, lambda);
   EXPECT_NEAR(c1.total_mass(), 1.0, 1e-12);
   // E[work per slot] = lambda * E[S] = rho.
   EXPECT_NEAR(c1.mean(), 0.5, 1e-9);
@@ -60,6 +92,30 @@ TEST(BusyPeriod, AtomStructureForDeterministicService) {
   EXPECT_NEAR(t.at(20), 0.4 * std::exp(-0.8), 1e-9);
   // General Borel term: P(T = ns) = (n*lambda*s)^(n-1)/n! * e^(-n*lambda*s).
   EXPECT_NEAR(t.at(30), std::pow(1.2, 2) / 6.0 * std::exp(-1.2), 1e-9);
+}
+
+TEST(BusyPeriod, DeterministicServiceMatchesBorelExactly) {
+  // Borel-Tanner: P(T = ns) = (n lambda s)^(n-1) / n! * e^(-n lambda s)
+  // for every n whose table cell lies below max_len.
+  const std::size_t s = 10;
+  const double lambda = 0.05;
+  const auto t =
+      analysis::busy_period_distribution(dist::deterministic(s), lambda, 1000);
+  double log_n_factorial = 0.0;
+  for (std::size_t n = 1; n < 100; ++n) {
+    log_n_factorial += std::log(static_cast<double>(n));
+    const double mu = static_cast<double>(n * s) * lambda;
+    const double borel = std::exp(static_cast<double>(n - 1) * std::log(mu) -
+                                  log_n_factorial - mu);
+    EXPECT_NEAR(t.at(n * s) / borel, 1.0, 1e-12) << "n=" << n;
+  }
+}
+
+TEST(BusyPeriod, ServiceWithMassAtZeroRejected) {
+  // A zero-slot service would let E_k stay below 1 + k s_min.
+  const dist::Pmf s(std::vector<double>{0.1, 0.0, 0.9});
+  EXPECT_THROW(analysis::busy_period_distribution(s, 0.05, 100),
+               tcw::ContractViolation);
 }
 
 TEST(BusyPeriod, GeometricServiceMeanAlsoMatches) {
@@ -131,15 +187,14 @@ TEST(BusyPeriod, TailMatchesBruteForceSimulation) {
   }
 }
 
-// The recursion busy_period_from_work tiles, as a plain scatter on the full
-// lattice: A_n = A_{n-1} + one slot of work by next[m + j] += A[m] * q over
-// ascending m, then the cycle lemma over ascending j. Every cell adds the
-// same nonzero terms in the same order as the kernel, so the two agree bit
-// for bit.
+// The n-step recursion the Poisson mixture replaces, as a plain scatter
+// on the full lattice: A_n = A_{n-1} + one slot of work by
+// next[m + j] += A[m] * q over ascending m, then the cycle lemma over
+// ascending j.
 dist::Pmf naive_busy_period(const dist::Pmf& initial,
                             const dist::Pmf& service, double lambda,
                             std::size_t max_len) {
-  const dist::Pmf work = analysis::one_slot_work(service, lambda);
+  const dist::Pmf work = one_slot_work(service, lambda);
   std::vector<double> out(max_len, 0.0);
   out[0] = initial.at(0);
   std::vector<double> arrived(max_len, 0.0);
@@ -165,55 +220,52 @@ dist::Pmf naive_busy_period(const dist::Pmf& initial,
                    std::max(0.0, initial.total_mass() - total));
 }
 
-void expect_same_bits(const dist::Pmf& got, const dist::Pmf& want,
-                      const std::string& what) {
+// The oracle's one-slot work is truncated at 1e-15, so the two agree to
+// rounding, not bit for bit.
+void expect_close(const dist::Pmf& got, const dist::Pmf& want,
+                  const std::string& what) {
   ASSERT_EQ(got.size(), want.size()) << what;
   for (std::size_t n = 0; n < want.size(); ++n) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.at(n)),
-              std::bit_cast<std::uint64_t>(want.at(n)))
-        << what << " P(T = " << n << "): got " << got.at(n) << ", want "
-        << want.at(n);
+    EXPECT_NEAR(got.at(n), want.at(n), 1e-14) << what << " P(T = " << n
+                                               << ")";
   }
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.tail_mass()),
-            std::bit_cast<std::uint64_t>(want.tail_mass()))
-      << what << " tail mass";
+  EXPECT_NEAR(got.tail_mass(), want.tail_mass(), 1e-12) << what << " tail";
 }
 
-// The kernel computes 16 cells per tile; the lengths run from 2 (shorter
-// than one tile) to three tiles and one cell.
-constexpr std::size_t kMaxLenTop = 3 * 16 + 1;
+// Lengths from 2 to 49, across the range where the mixture's k cutoff
+// and the service support's truncation at max_len change.
+constexpr std::size_t kMaxLenTop = 49;
 
-TEST(BusyPeriodTiles, MatchNaiveScatterOnEveryLengthAndStride) {
-  // Strides 1, 3 and 10. The one-slot work has support entries up to
-  // about eight services, so short tables drop entries at and beyond
-  // max_len (for stride 10, every nonzero one below 10 slots).
+TEST(BusyPeriodMixture, MatchNaiveScatterOnEveryLengthAndStride) {
+  // Strides 1, 3 and 10; short tables drop the services at and beyond
+  // max_len.
   for (const std::size_t stride : {1u, 3u, 10u}) {
     const auto s = dist::deterministic(stride);
     const double lambda = 0.4 / static_cast<double>(stride);
     for (std::size_t len = 2; len <= kMaxLenTop; ++len) {
-      expect_same_bits(analysis::busy_period_distribution(s, lambda, len),
-                       naive_busy_period(s, s, lambda, len),
-                       "g=" + std::to_string(stride) +
-                           " len=" + std::to_string(len));
+      expect_close(analysis::busy_period_distribution(s, lambda, len),
+                   naive_busy_period(s, s, lambda, len),
+                   "g=" + std::to_string(stride) +
+                       " len=" + std::to_string(len));
     }
   }
 }
 
-TEST(BusyPeriodTiles, MatchNaiveScatterForWideGeometricSupport) {
-  // Stride 1 with a support that reaches past one tile: the service of
-  // the Figure-7 baselines at M = 25.
+TEST(BusyPeriodMixture, MatchNaiveScatterForWideGeometricSupport) {
+  // A service support of about 55 slots, shaped like the Figure-7
+  // baselines' service at M = 25.
   const auto s = dist::geometric0_with_mean(1.5).shifted(26);
   const double lambda = 0.02;
   for (std::size_t len = 2; len <= kMaxLenTop; ++len) {
-    expect_same_bits(analysis::busy_period_distribution(s, lambda, len),
-                     naive_busy_period(s, s, lambda, len),
-                     "len=" + std::to_string(len));
+    expect_close(analysis::busy_period_distribution(s, lambda, len),
+                 naive_busy_period(s, s, lambda, len),
+                 "len=" + std::to_string(len));
   }
-  expect_same_bits(analysis::busy_period_distribution(s, lambda, 300),
-                   naive_busy_period(s, s, lambda, 300), "len=300");
+  expect_close(analysis::busy_period_distribution(s, lambda, 300),
+               naive_busy_period(s, s, lambda, 300), "len=300");
 }
 
-TEST(BusyPeriodTiles, MatchNaiveScatterWithAtomAtZeroAndOffLatticeWork) {
+TEST(BusyPeriodMixture, MatchNaiveScatterWithAtomAtZeroAndOffLatticeWork) {
   // An initial work with an atom at 0, and one that is off the service's
   // stride-10 lattice (the LCFS residual, shifted one slot).
   const auto s = dist::deterministic(10);
@@ -221,11 +273,10 @@ TEST(BusyPeriodTiles, MatchNaiveScatterWithAtomAtZeroAndOffLatticeWork) {
   const dist::Pmf residual = s.equilibrium().shifted(1);
   for (std::size_t len = 2; len <= kMaxLenTop; ++len) {
     const std::string at = " len=" + std::to_string(len);
-    expect_same_bits(analysis::busy_period_from_work(atom, s, 0.05, len),
-                     naive_busy_period(atom, s, 0.05, len), "atom" + at);
-    expect_same_bits(analysis::busy_period_from_work(residual, s, 0.05, len),
-                     naive_busy_period(residual, s, 0.05, len),
-                     "residual" + at);
+    expect_close(analysis::busy_period_from_work(atom, s, 0.05, len),
+                 naive_busy_period(atom, s, 0.05, len), "atom" + at);
+    expect_close(analysis::busy_period_from_work(residual, s, 0.05, len),
+                 naive_busy_period(residual, s, 0.05, len), "residual" + at);
   }
 }
 
@@ -271,6 +322,39 @@ TEST(LcfsWaiting, UnstableQueueRejected) {
   const auto s = dist::deterministic(10);
   EXPECT_THROW(analysis::lcfs_waiting_cdf(s, 0.2, 10.0),
                tcw::ContractViolation);
+}
+
+TEST(LcfsConcurrent, FourThreadsMatchSerialBits) {
+  // The analytic layer keeps no state across calls, so the Figure-7 LCFS
+  // curve computed on four threads at once equals a serial run bit for
+  // bit.
+  analysis::ProtocolModelConfig cfg;
+  cfg.offered_load = 0.5;
+  cfg.message_length = 25.0;
+  const std::vector<double> grid = {12.5, 25,  37.5, 50,  75,
+                                    100,  150, 200,  300, 400};
+  const auto curve = [&] {
+    std::vector<double> out;
+    for (const double k : grid) {
+      out.push_back(analysis::lcfs_nodiscard_loss(cfg, k));
+    }
+    return out;
+  };
+  const std::vector<double> serial = curve();
+  std::vector<std::vector<double>> parallel(4);
+  std::vector<std::thread> threads;
+  for (auto& slot : parallel) {
+    threads.emplace_back([&slot, &curve] { slot = curve(); });
+  }
+  for (auto& t : threads) t.join();
+  for (const auto& got : parallel) {
+    ASSERT_EQ(got.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(serial[i]))
+          << "K=" << grid[i];
+    }
+  }
 }
 
 }  // namespace

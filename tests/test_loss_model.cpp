@@ -189,9 +189,9 @@ TEST(ControlledLoss, CountersTrackFixpointAndRenewalSolves) {
 }
 
 TEST(ControlledLoss, SecantOutsideUnitIntervalFallsBackToDamped) {
-  // At K = 16 M eq. 4.7 returns rounding noise of about -2.5e-13, so from
-  // p = 1 every secant step (after the damped first step) lands below 0:
-  // the iteration is the damped one throughout and must match it exactly.
+  // At K = 16 M eq. 4.7 is 0 to rounding, so from p = 1 the first secant
+  // step (after the damped first step) lands just below 0 and the second
+  // step must be the damped one, bit for bit.
   const auto cfg = paper_config(0.25, 25.0);
   const double K = 400.0;
   const double p0 = 1.0;
@@ -201,11 +201,16 @@ TEST(ControlledLoss, SecantOutsideUnitIntervalFallsBackToDamped) {
   const double g1 = loss_at(cfg, K, p1) - p1;
   const double secant = p1 - g1 * (p1 - p0) / (g1 - g0);
   ASSERT_FALSE(secant >= 0.0 && secant <= 1.0) << secant;
+  auto two_steps = cfg;
+  two_steps.fixpoint_max_iters = 2;
+  const auto pt2 = analysis::controlled_loss_at(two_steps, K, p0);
+  const auto [damped, evaluations] = damped_fixpoint(two_steps, K, p0);
+  EXPECT_EQ(pt2.iterations, 2);
+  EXPECT_EQ(evaluations, 2);
+  EXPECT_EQ(pt2.p_loss, damped);
+  // Left to run, the iteration converges to a self-consistent p >= 0.
   const auto pt = analysis::controlled_loss_at(cfg, K, p0);
-  const auto [damped, evaluations] = damped_fixpoint(cfg, K, p0);
   EXPECT_LT(pt.iterations, cfg.fixpoint_max_iters);
-  EXPECT_EQ(pt.iterations, evaluations);
-  EXPECT_EQ(pt.p_loss, damped);
   EXPECT_GE(pt.p_loss, 0.0);
   EXPECT_NEAR(loss_at(cfg, K, pt.p_loss), pt.p_loss, 1e-9);
 }
@@ -233,6 +238,15 @@ TEST(FcfsBaseline, MonotoneDecreasing) {
 TEST(FcfsBaseline, UnstableQueueLosesEverything) {
   const auto cfg = paper_config(1.2, 25.0);
   EXPECT_DOUBLE_EQ(analysis::fcfs_nodiscard_loss(cfg, 500.0), 1.0);
+}
+
+TEST(LossModel, NoNegativeLossAtLargeK) {
+  // At rho' = 0.25, K = 16M the losses are a few ulps from 0, where
+  // 1 - P(W <= K) and 1 - z/(1 + rho z) cancel; they must not go below 0.
+  const auto cfg = paper_config(0.25, 25.0);
+  EXPECT_GE(analysis::fcfs_nodiscard_loss(cfg, 400.0), 0.0);
+  EXPECT_GE(analysis::lcfs_nodiscard_loss(cfg, 400.0), 0.0);
+  EXPECT_GE(analysis::controlled_loss_at(cfg, 400.0, 0.0).p_loss, 0.0);
 }
 
 class ControlledLossGridTest
