@@ -19,15 +19,16 @@
 #   - dist_smoke.sh: multi-process workers over a shared shard store;
 #     merged CSVs must be byte-identical to single-process, including
 #     after a SIGKILLed worker;
-# an informational kernel-throughput comparison against the committed
-# baseline, a BENCH_JSON schema check over the smoke logs, the
-# concurrency and kernel tests (including the SMDP kernel estimated in
-# blocks on several threads, and the LCFS curve on four threads at once)
-# rebuilt and re-run under ThreadSanitizer, and the numeric-kernel tests
-# (SMDP kernel estimation, samplers, analytic golden tables, M/G/1, the
-# busy-period kernel, the loss-model fixpoint) and the finite-station kernel tests
-# (network, its golden table, multichannel, event-skip, fast path)
-# rebuilt and re-run under AddressSanitizer + UBSan.
+# a BENCH_JSON schema check over the smoke logs, the concurrency and
+# kernel tests (including the SMDP kernel estimated in blocks on several
+# threads, the LCFS curve on four threads at once, and both kernels'
+# golden tables) rebuilt and re-run under ThreadSanitizer, and the
+# numeric-kernel tests (SMDP kernel estimation, samplers, analytic golden
+# tables, M/G/1, the busy-period kernel, the loss-model fixpoint), the
+# finite-station kernel tests (network, its golden table, multichannel,
+# event-skip, fast path) and the aggregate kernel's golden table rebuilt
+# and re-run under AddressSanitizer + UBSan. Kernel speed is measured by
+# perfbench (see BENCHMARK.json), not here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,12 +67,6 @@ scripts/overlay_smoke.sh build/bench/study_tool build/bench/kernel_bench \
 echo "== tier-1: distributed worker/merge smoke (byte-identical CSVs, crash-restart) =="
 scripts/dist_smoke.sh build/bench/study_tool build/bench/dist_smoke
 
-echo "== tier-1: kernel throughput vs committed baseline (informational) =="
-build/bench/kernel_bench --quick --csv=build/bench/bench_compare.csv \
-    >build/bench/bench_compare.log 2>&1 || true
-python3 scripts/bench_compare.py --input build/bench/bench_compare.log \
-    || true
-
 echo "== tier-1: BENCH_JSON schema check over the smoke logs =="
 python3 scripts/check_bench_json.py \
     build/bench/study_smoke/*/*.log \
@@ -85,15 +80,15 @@ cmake --build build-tsan -j --target test_thread_pool \
     test_kernel_fastpath test_event_skip test_protocol_engines \
     test_multichannel test_shard_cache test_study test_obs test_dist_exec \
     test_flight_recorder test_slot_series test_network_golden \
-    test_window_model_golden test_busy_period
+    test_aggregate_golden test_window_model_golden test_busy_period
 (cd build-tsan && ctest --output-on-failure \
-    -R 'ThreadPool|ParallelFor|ResolveThreads|SweepDeterminism|SweepTiming|SweepScheduler|SweepTrace|FlatDeque|NetworkKernel|AggregateKernel|KernelWarmupEdge|EventSkip|ProtocolEngine|MultiChannel|PolicyGrid|ShardCache|StudyCache|StudyRunner|StudyRegistry|StudyTrace|Obs|DistLease|DistGate|SharedStore|DistExec|FlightRecorder|SlotSeries|BoundedRing|TraceLog|NetworkGolden|WindowModelPass|LcfsConcurrent')
+    -R 'ThreadPool|ParallelFor|ResolveThreads|SweepDeterminism|SweepTiming|SweepScheduler|SweepTrace|FlatDeque|NetworkKernel|AggregateKernel|KernelWarmupEdge|EventSkip|ProtocolEngine|MultiChannel|PolicyGrid|ShardCache|StudyCache|StudyRunner|StudyRegistry|StudyTrace|Obs|DistLease|DistGate|SharedStore|DistExec|FlightRecorder|SlotSeries|BoundedRing|TraceLog|NetworkGolden|AggregateGolden|WindowModelPass|LcfsConcurrent')
 echo "== tier-1: numeric + network kernel tests under AddressSanitizer + UBSan =="
 asan_tests="test_window_model test_window_model_golden test_smdp \
     test_sampling test_analytic_golden test_mg1 test_busy_period \
     test_loss_model test_network \
-    test_network_golden test_multichannel test_event_skip \
-    test_kernel_fastpath"
+    test_network_golden test_aggregate_golden test_multichannel \
+    test_event_skip test_kernel_fastpath"
 cmake -B build-asan -S . -DTCW_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j --target $asan_tests
 for t in $asan_tests; do

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -34,7 +35,6 @@ dist::Pmf busy_period_from_work(const dist::Pmf& initial,
   TCW_EXPECTS(lambda > 0.0);
   TCW_EXPECTS(initial.total_mass() > 0.0);
   TCW_EXPECTS(service.at(0) == 0.0);
-  busy_period_steps().add(max_len - 1);
   // Sparse support of the service below max_len, ascending; larger
   // services never land in the table.
   std::vector<std::pair<std::size_t, double>> support;
@@ -61,6 +61,8 @@ dist::Pmf busy_period_from_work(const dist::Pmf& initial,
   std::vector<double> out(max_len, 0.0);
   const double mu_top = static_cast<double>(max_len - 1) * lambda;
   double log_k_factorial = 0.0;
+  // Multiply-adds: one per weighted cell, |supp B| per convolved cell.
+  std::uint64_t madds = 0;
   for (std::size_t k = 0; lo < max_len; ++k) {
     if (k > 0) log_k_factorial += std::log(static_cast<double>(k));
     const auto kd = static_cast<double>(k);
@@ -73,6 +75,7 @@ dist::Pmf busy_period_from_work(const dist::Pmf& initial,
       const double mu = static_cast<double>(n) * lambda;
       out[n] += poisson_weight(mu, kd, log_k_factorial) * term[n];
     }
+    madds += hi - lo + 1;
     if (support.empty()) break;
     // E_{k+1} = E_k * B, truncated at max_len; it lives on
     // [lo + s_min, hi + s_max].
@@ -87,10 +90,13 @@ dist::Pmf busy_period_from_work(const dist::Pmf& initial,
       }
       next[n] = acc;
     }
+    if (next_lo <= next_hi) madds += (next_hi - next_lo + 1) * support.size();
     term.swap(next);
     lo = next_lo;
     hi = next_hi;
   }
+
+  busy_period_steps().add(madds);
 
   // Cycle lemma: P(T = n) = (1/n) sum_k Pois(n lambda; k) E_k(n).
   out[0] = initial.at(0);

@@ -20,6 +20,7 @@ struct AggregateCounters {
   obs::Counter sender_discards;
   obs::Counter chunks_allocated;
   obs::Counter chunks_released;
+  obs::Counter skipped_slots;
 };
 
 AggregateCounters& aggregate_counters() {
@@ -32,6 +33,7 @@ AggregateCounters& aggregate_counters() {
       obs::Registry::global().counter("net.aggregate.sender_discards"),
       obs::Registry::global().counter("net.aggregate.chunks_allocated"),
       obs::Registry::global().counter("net.aggregate.chunks_released"),
+      obs::Registry::global().counter("net.aggregate.skipped_slots"),
   };
   return counters;
 }
@@ -105,7 +107,7 @@ std::uint32_t AggregateSimulator::route_arrival(double arrival) {
 }
 
 void AggregateSimulator::generate_arrivals_until(double t) {
-  while (!arrivals_exhausted_ && next_arrival_ <= t) {
+  while (next_arrival_ <= t) {
     const std::uint32_t ch =
         lanes_.size() == 1 ? 0 : route_arrival(next_arrival_);
     Lane& lane = lanes_[ch];
@@ -294,11 +296,66 @@ const SimMetrics& AggregateSimulator::run() {
   return metrics_;
 }
 
+bool AggregateSimulator::try_skip_quiescent(Lane& lane, std::size_t li) {
+  // Traces record every idle probe, jitter draws rng_ per slot, and the
+  // reference path stays an independent per-slot oracle. Certificates
+  // need exact +1 slot arithmetic, so a fractional clock steps per slot.
+  if (config_.trace != nullptr || config_.slot_jitter > 0.0 ||
+      config_.reference_kernel || lane.now != std::floor(lane.now)) {
+    return false;
+  }
+  // Slot t may be skipped iff it is arrival-free (t < next arrival),
+  // simulated (t < t_end), and this lane would step it before any other
+  // lane steps: argmin-clock order with ties to the lower index means
+  // t < other.now for a lower-index lane and t <= other.now for a higher
+  // one, i.e. t below ceil(other.now) or floor(other.now) + 1.
+  double horizon = std::min(next_arrival_, config_.t_end);
+  for (std::size_t c = 0; c < lanes_.size(); ++c) {
+    if (c == li) continue;
+    const double other = lanes_[c].now;
+    horizon = std::min(horizon,
+                       c < li ? std::ceil(other) : std::floor(other) + 1.0);
+  }
+  if (horizon <= lane.now) return false;
+  const auto max_slots = static_cast<std::uint64_t>(
+      std::ceil(std::min(horizon - lane.now, 1e15)));
+  const QuiescentStretch stretch =
+      lane.engine->quiescent_until(lane.now, max_slots);
+  if (stretch.slots == 0) return false;
+  // The per-slot path samples the lane's queue depth, empty here.
+  if (config_.capture.series != nullptr) {
+    config_.capture.series->add_idle_run(lane.now, stretch.slots, 0.0);
+  }
+  // Replay the per-slot metric pattern exactly: the accumulators are
+  // Welford streams, so each slot's contribution is applied in sequence.
+  double t = lane.now;
+  for (std::uint64_t i = 0; i < stretch.slots; ++i, t += 1.0) {
+    metrics_.usage.add_idle_slot();
+    if (t >= config_.warmup) {
+      metrics_.pseudo_backlog.add(stretch.backlog);
+      metrics_.process_slots.add(1.0);
+    }
+  }
+  lane.tally.probe_slots += stretch.slots;
+  lane.tally.idle_slots += stretch.slots;
+  lane.engine->skip_quiescent(t - 1.0, stretch.slots);
+  // The per-slot path prunes the attribution spans at every slot's floor;
+  // the floors only rise, so pruning at the last one is the same.
+  lane.collided_spans.erase_below(lane.engine->discard_floor(t - 1.0));
+  skipped_slots_ += stretch.slots;
+  lane.now = t;
+  return true;
+}
+
 void AggregateSimulator::step_lane(Lane& lane, std::uint32_t ch) {
   const double k = config_.policy.deadline;
   generate_arrivals_until(lane.now);
   ProtocolEngine& engine = *lane.engine;
   const bool was_in_process = engine.in_process();
+  if (!was_in_process && lane.pending.empty() &&
+      try_skip_quiescent(lane, ch)) {
+    return;
+  }
   const SlotPlan plan = engine.next_slot(lane.now);
   const bool windowed = plan.kind == SlotPlan::Kind::Window;
   obs::SlotSeries* const series = config_.capture.series;
@@ -477,6 +534,7 @@ void AggregateSimulator::finalize() {
   counters.sender_discards.add(total.sender_discards);
   counters.chunks_allocated.add(chunks_allocated);
   counters.chunks_released.add(chunks_released);
+  counters.skipped_slots.add(skipped_slots_);
 }
 
 }  // namespace tcw::net

@@ -20,6 +20,12 @@
 // lane machinery degenerates to exactly the pre-multichannel loop: no
 // selector is consulted, lane-0 seeds are the raw seeds, and runs are
 // bit-identical to the single-channel kernel.
+//
+// A lane with nothing pending and no process open asks its engine for a
+// quiescent-stretch certificate (ProtocolEngine::quiescent_until) and
+// fast-forwards every certified slot before the next arrival, t_end and
+// the next other-lane turn in one call, replaying the per-slot metrics
+// exactly. Traced, jittered and reference runs step every slot.
 #pragma once
 
 #include <cstdint>
@@ -66,10 +72,10 @@ struct AggregateConfig {
   double wait_hist_max = 0.0;     // 0 -> 2*deadline
   std::size_t wait_hist_bins = 64;
   /// Drive the pending-arrival bookkeeping through the retained seed-era
-  /// std::set path instead of the flat chunked deque. Results are
-  /// bit-identical either way (kernel_bench --verify proves it); the
-  /// reference path exists only as that cross-check and as the pre-PR
-  /// throughput baseline.
+  /// std::set path instead of the flat chunked deque, stepping every slot
+  /// (no quiescent fast-forward). Results are bit-identical either way
+  /// (kernel_bench --verify proves it); the reference path exists only as
+  /// that cross-check and as the pre-PR throughput baseline.
   bool reference_kernel = false;
   /// Optional flight-recorder segment / slot-series hooks (strict
   /// overlays: never touch RNG state or results). Not owned; must
@@ -95,6 +101,9 @@ class AggregateSimulator {
   std::uint64_t probe_steps() const;
   /// Per-channel slot-outcome tallies, valid after run().
   std::vector<obs::ChannelTally> channel_tallies() const;
+  /// Probe slots fast-forwarded as certified quiescent stretches (counted
+  /// in probe_steps() too).
+  std::uint64_t skipped_slots() const { return skipped_slots_; }
 
  private:
   /// One channel: its engine instance, its pending-arrival structures,
@@ -133,6 +142,12 @@ class AggregateSimulator {
   void generate_arrivals_until(double t);
   std::uint32_t route_arrival(double arrival);
   void step_lane(Lane& lane, std::uint32_t ch);
+  /// When lane `li`'s engine certifies a quiescent stretch (see
+  /// ProtocolEngine::quiescent_until) over slots no arrival, t_end or
+  /// other lane's turn interrupts, replay its per-slot metric pattern,
+  /// fast-forward the engine and return true; false leaves the lane
+  /// untouched (the caller steps the slot).
+  bool try_skip_quiescent(Lane& lane, std::size_t li);
   void purge_discarded(Lane& lane, std::uint32_t ch);
   void finalize();
   /// Base slot(s) plus the configured synchronization jitter, if any.
@@ -162,7 +177,7 @@ class AggregateSimulator {
   std::vector<double> lane_busy_scratch_;
   std::vector<std::uint64_t> lane_load_scratch_;
   double next_arrival_ = 0.0;
-  bool arrivals_exhausted_ = false;
+  std::uint64_t skipped_slots_ = 0;
   SimMetrics metrics_;
   bool finished_ = false;
 };

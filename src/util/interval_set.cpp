@@ -50,13 +50,10 @@ void IntervalSet::erase(double lo, double hi) {
 }
 
 void IntervalSet::erase_below(double x) {
-  std::vector<Interval> out;
-  out.reserve(parts_.size());
-  for (const Interval& p : parts_) {
-    if (p.hi <= x) continue;
-    out.push_back(Interval{std::max(p.lo, x), p.hi});
-  }
-  parts_ = std::move(out);
+  // Drop the parts wholly below x, then trim the one straddling it; every
+  // later part already starts above x. In place: no allocation.
+  parts_.erase(parts_.begin(), lower_part(parts_, x));
+  if (!parts_.empty()) parts_.front().lo = std::max(parts_.front().lo, x);
 }
 
 bool IntervalSet::contains(double x) const {

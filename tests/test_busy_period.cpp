@@ -125,12 +125,15 @@ TEST(BusyPeriod, GeometricServiceMeanAlsoMatches) {
   EXPECT_NEAR(t.mean(), 8.0 / 0.6, 0.05);
 }
 
-TEST(BusyPeriod, StepCounterAddsOnePerLatticeStep) {
+TEST(BusyPeriod, StepCounterCountsMixtureMultiplyAdds) {
   const tcw::obs::Counter steps =
       tcw::obs::Registry::global().counter("analysis.busy_period_steps");
   const std::uint64_t before = steps.value();
   analysis::busy_period_distribution(dist::deterministic(10), 0.05, 300);
-  EXPECT_EQ(steps.value() - before, 299u);
+  // B = delta_10, so E_k is the single cell 10 (k + 1): passes k = 0..28
+  // weight one cell each (29), and k = 0..27 convolve one cell against
+  // the one-point support (28); E_29 would start at 300 = max_len.
+  EXPECT_EQ(steps.value() - before, 57u);
 }
 
 TEST(BusyPeriod, InitialWorkAtomAtZeroPassesThrough) {

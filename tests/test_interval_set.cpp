@@ -216,4 +216,43 @@ TEST_P(IntervalSetPropertyTest, MatchesBruteForceModel) {
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, IntervalSetPropertyTest,
                          ::testing::Range(0, 8));
 
+// The copy-based erase_below that the in-place one replaced: keep every
+// part with hi > x, each clamped to start at x or later.
+std::vector<Interval> copy_erase_below(const std::vector<Interval>& parts,
+                                       double x) {
+  std::vector<Interval> out;
+  for (const Interval& p : parts) {
+    if (p.hi <= x) continue;
+    out.push_back(Interval{std::max(p.lo, x), p.hi});
+  }
+  return out;
+}
+
+TEST(IntervalSet, EraseBelowMatchesCopySemanticsOnRandomSets) {
+  tcw::sim::Rng rng(0xE1A5E);
+  for (int trial = 0; trial < 500; ++trial) {
+    IntervalSet s;
+    const std::size_t parts = tcw::sim::uniform_index(rng, 8);
+    for (std::size_t i = 0; i < parts; ++i) {
+      const double lo = tcw::sim::uniform(rng, 0.0, 100.0);
+      s.insert(lo, lo + tcw::sim::uniform(rng, 0.0, 15.0));
+    }
+    // Cut points inside parts, on their edges, and outside the set.
+    std::vector<double> cuts = {-1.0, 0.0, 50.0, 200.0,
+                                tcw::sim::uniform(rng, -5.0, 120.0)};
+    for (const Interval& p : s.parts()) {
+      cuts.push_back(p.lo);
+      cuts.push_back(p.hi);
+      cuts.push_back(0.5 * (p.lo + p.hi));
+    }
+    for (const double x : cuts) {
+      IntervalSet t = s;
+      t.erase_below(x);
+      ASSERT_EQ(t.parts(), copy_erase_below(s.parts(), x))
+          << "trial " << trial << " x=" << x;
+      ASSERT_TRUE(t.check_invariant());
+    }
+  }
+}
+
 }  // namespace

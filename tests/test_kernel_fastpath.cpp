@@ -11,9 +11,11 @@
 #include <sstream>
 #include <vector>
 
+#include "analysis/splitting.hpp"
 #include "chan/arrivals.hpp"
 #include "net/aggregate_sim.hpp"
 #include "net/network.hpp"
+#include "obs/registry.hpp"
 #include "util/contract.hpp"
 
 using tcw::chan::ArrivalProcess;
@@ -224,6 +226,38 @@ TEST(AggregateKernel, FastMatchesReferenceAcrossPolicies) {
     EXPECT_EQ(fast.first, ref.first) << "case " << i;
     EXPECT_EQ(fast.second, ref.second) << "case " << i;
   }
+}
+
+// A Figure-7 point (rho' = 0.5, M = 25, K = 2M, heuristic width): most
+// slots are certified quiescent and fast-forwarded, yet the probe count
+// and every metric match the per-slot reference run, and the run's skips
+// reach net.aggregate.skipped_slots.
+TEST(AggregateKernel, QuiescentSkipKeepsProbeCountOfReference) {
+  const double lambda = 0.5 / 25.0;
+  const auto run = [&](bool reference) {
+    AggregateConfig cfg;
+    cfg.policy = ControlPolicy::optimal(
+        50.0, tcw::analysis::optimal_window_load() / lambda);
+    cfg.message_length = 25.0;
+    cfg.t_end = 30000.0;
+    cfg.warmup = 2000.0;
+    cfg.seed = 7;
+    cfg.reference_kernel = reference;
+    auto sim = std::make_unique<AggregateSimulator>(
+        cfg, std::make_unique<PoissonProcess>(lambda));
+    sim->run();
+    return sim;
+  };
+  const tcw::obs::Counter counter =
+      tcw::obs::Registry::global().counter("net.aggregate.skipped_slots");
+  const std::uint64_t before = counter.value();
+  const auto fast = run(false);
+  EXPECT_EQ(counter.value() - before, fast->skipped_slots());
+  const auto ref = run(true);
+  EXPECT_GT(fast->skipped_slots(), fast->probe_steps() / 2);
+  EXPECT_EQ(ref->skipped_slots(), 0u);
+  EXPECT_EQ(fast->probe_steps(), ref->probe_steps());
+  EXPECT_EQ(fingerprint(fast->metrics()), fingerprint(ref->metrics()));
 }
 
 // A message arriving exactly at `warmup` must be counted as an arrival and
