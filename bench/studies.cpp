@@ -372,33 +372,31 @@ class AdaptiveWidthStudy final : public Study {
                 "heuristic (lambda=%.3f, M=%.0f) ==\n\n", lambda_, m);
 
     // Solve the decision model at every deadline as jobs on the scheduler
-    // next to the other sweeps: a replay of the Monte-Carlo stream, the
-    // kernel estimate in blocks across the pool, then policy iteration.
-    // The adaptive arms are gated on the solve and read their width tables
-    // when they start. The models do not depend on the block count; one
-    // block (on one thread) skips the replay.
+    // next to the other sweeps: the kernel estimate in blocks across the
+    // pool, then policy iteration. The adaptive arms are gated on the
+    // solve and read their width tables when they start. The models do
+    // not depend on the block count.
     smdp::WindowSmdpConfig wcfg;
     wcfg.lambda = lambda_;
     wcfg.tx_slots = static_cast<std::size_t>(tx_);
     wcfg.mc_samples = static_cast<std::size_t>(samples);
-    const std::size_t threads = ctx.scheduler().threads();
     auto pass = std::make_shared<smdp::WindowModelPass>(
-        wcfg, kDeadlines, threads > 1 ? 2 * threads : 1);
-    const std::size_t replay =
-        ctx.job("smdp/replay", {[pass] { pass->plan(); }});
+        wcfg, kDeadlines, 2 * ctx.scheduler().threads());
     std::vector<std::function<void()>> blocks;
     for (std::size_t b = 0; b < pass->blocks(); ++b) {
       blocks.push_back([pass, b] { pass->estimate(b); });
     }
-    const std::size_t kernel =
-        ctx.job("smdp/kernel", std::move(blocks), replay);
+    const std::size_t kernel = ctx.job("smdp/kernel", std::move(blocks));
     const StudyContext::Prerequisite solve{
         ctx.job("smdp",
                 {[this, pass, lambda = wcfg.lambda] {
                   models_ = smdp::solve_window_smdps(pass->models(), lambda);
                 }},
                 kernel),
-        "smdp|lambda=" + fp_value(wcfg.lambda) +
+        // v2 names the model's stream layout, one stream per (state,
+        // width) pair, so adaptive shards stored under the earlier single
+        // stream are not reused.
+        "smdp-v2|lambda=" + fp_value(wcfg.lambda) +
             "|tx=" + std::to_string(wcfg.tx_slots) +
             "|max_window=" + std::to_string(wcfg.max_window) +
             "|samples=" + std::to_string(wcfg.mc_samples) +
@@ -468,6 +466,81 @@ class AdaptiveWidthStudy final : public Study {
   std::vector<Arm> arms_;
   // One solved model per kDeadlines entry, written by the smdp job.
   std::vector<smdp::WindowPolicyResult> models_;
+};
+
+// Element (4) ablation: the same protocol with and without sender
+// discard. The paper's Section 4.2 attributes most of the controlled
+// protocol's gain to element (4) -- the channel then only carries "useful"
+// work -- and this study quantifies that by splitting loss into its
+// sender/receiver components and reporting channel utilization. Both arms
+// derive their job seeds from the same (seed, K index), so they compare
+// on common random numbers.
+class DiscardStudy final : public Study {
+ public:
+  void register_flags(Flags& flags) override {
+    flags.add("rho", &rho_, "offered load rho'");
+    flags.add("m", &m_, "message length M");
+    flags.add("t-end", &t_end_, "simulated slots");
+    flags.add("seed", &seed_, "base RNG seed");
+  }
+
+  void schedule(StudyContext& ctx) override {
+    std::printf("== element (4) ablation: sender discard on/off "
+                "(rho'=%.2f, M=%.0f) ==\n\n", rho_, m_);
+    for (const double r : {1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0}) {
+      grid_.push_back(r * m_);
+    }
+    net::SweepConfig cfg;
+    cfg.offered_load = rho_;
+    cfg.message_length = m_;
+    cfg.t_end = ctx.quick() ? 40000.0 : t_end_;
+    cfg.warmup = cfg.t_end / 15.0;
+    cfg.replications = 1;
+    cfg.base_seed = seed_;
+    const double width = analysis::optimal_window_load() / cfg.lambda();
+    arms_.push_back(ctx.sweep(
+        "discard", cfg,
+        [width](double k) { return core::ControlPolicy::optimal(k, width); },
+        grid_));
+    arms_.push_back(ctx.sweep(
+        "nodiscard", cfg,
+        [width](double k) {
+          return core::ControlPolicy::fcfs_baseline(k, width);
+        },
+        grid_));
+  }
+
+  int render(StudyContext& ctx) override {
+    const auto with_points = arms_[0].points();
+    const auto without_points = arms_[1].points();
+    Table table({"K", "loss_with", "sender_frac_with", "util_with",
+                 "loss_without", "receiver_frac_without", "util_without"});
+    for (std::size_t i = 0; i < grid_.size(); ++i) {
+      const net::SweepPoint& with = with_points[i];
+      const net::SweepPoint& without = without_points[i];
+      table.add_row({format_fixed(grid_[i], 0), format_fixed(with.p_loss, 5),
+                     format_fixed(with.sender_loss_frac, 5),
+                     format_fixed(with.utilization, 4),
+                     format_fixed(without.p_loss, 5),
+                     format_fixed(without.receiver_loss_frac, 5),
+                     format_fixed(without.utilization, 4)});
+    }
+    table.write_pretty(std::cout);
+    std::printf("\nWith element (4) every transmitted message is useful "
+                "work;\nwithout it the channel wastes transmissions on "
+                "messages already dead at the receiver.\n");
+    if (!table.save_csv(ctx.csv_path())) return 1;
+    std::printf("csv: %s\n", ctx.csv_path().c_str());
+    return 0;
+  }
+
+ private:
+  double rho_ = 0.5;
+  double m_ = 25.0;
+  double t_end_ = 200000.0;
+  unsigned long long seed_ = 7;
+  std::vector<double> grid_;
+  std::vector<net::ScheduledSweep> arms_;  // with, then without discard
 };
 
 // Asynchrony sensitivity (paper Section 5, second extension): every probe
@@ -1158,6 +1231,10 @@ std::vector<StudyEntry> make_all_studies() {
       "ablation_adaptive_width",
       "SMDP-optimal adaptive widths vs the static heuristic",
       "Section 3 decision model deployed as adaptive element (2)"));
+  studies.push_back(entry<DiscardStudy>(
+      "ablation_discard",
+      "Element (4) on/off: loss decomposition vs K",
+      "element (4): sender discard vs receiver-only loss (Section 4.2)"));
   studies.push_back(entry<AsynchronyStudy>(
       "ablation_asynchrony",
       "Loss vs per-step synchronization jitter",

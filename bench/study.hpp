@@ -250,7 +250,7 @@ int run_study_suite(const StudyCommonOptions& common,
 /// Run a populated scheduler and print the consolidated per-sweep timing
 /// report plus the `BENCH_JSON {"suite":"<suite>",...}` line. The shared
 /// reporting tail of every scheduled driver (study_tool, fig7_all,
-/// ablation_discard, model_validation).
+/// model_validation).
 exec::SchedulerReport run_scheduler_with_report(
     exec::SweepScheduler& scheduler, const std::string& suite);
 

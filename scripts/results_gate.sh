@@ -7,18 +7,13 @@
 #   - smdp_cost: the SMDP cost sweep, with its wall-clock build_ms and
 #     solve_ms columns masked on both sides before the cmp.
 # A CSV a leg writes without a committed copy fails the gate, and so does
-# a committed CSV no leg writes, unless it is listed in `ungated` below.
+# a committed CSV no leg writes.
 # Usage: results_gate.sh <bench-binary-dir> <scratch-dir> [results-dir]
 set -euo pipefail
 
 bench=$(realpath "$1")
 scratch=$2
 results=$(realpath "${3:-$(dirname "$0")/../results}")
-
-# Committed CSVs no leg regenerates, each with the reason.
-#   ablation_discard.csv: stale since the move to derived per-K seeds; its
-#   refresh is an open ROADMAP item.
-ungated="ablation_discard.csv"
 
 rm -rf "$scratch"
 mkdir -p "$scratch"/suite "$scratch"/fig7 "$scratch"/single
@@ -63,7 +58,7 @@ for csv in suite/*.csv fig7/*.csv single/*.csv; do check "$csv"; done
 
 for committed in "$results"/*.csv; do
   name=$(basename "$committed")
-  case " $checked $ungated " in
+  case " $checked " in
     *" $name "*) ;;
     *) fail "$name is committed but no leg writes it" ;;
   esac

@@ -8,7 +8,8 @@
 #     and `smdp_cost` at committed scale must write every committed CSV
 #     byte-identical to results/ (smdp_cost's wall-clock columns masked);
 #   - study_smoke.sh over ablation_window_size, ablation_adaptive_width
-#     (whose adaptive arms are gated on the SMDP solve job), policy_grid,
+#     (whose adaptive arms are gated on the SMDP solve job),
+#     ablation_discard (two arms on common random numbers), policy_grid,
 #     large_n and multichannel: standalone vs --suite, and truncated-store
 #     resume, must write byte-identical CSVs;
 #   - overlay_smoke.sh: every observability overlay (trace, manifest,
@@ -20,9 +21,10 @@
 #     merged CSVs must be byte-identical to single-process, including
 #     after a SIGKILLed worker;
 # a BENCH_JSON schema check over the smoke logs, the concurrency and
-# kernel tests (including the SMDP kernel estimated in blocks on several
-# threads, the LCFS curve on four threads at once, and both kernels'
-# golden tables) rebuilt and re-run under ThreadSanitizer, and the
+# kernel tests (including the SMDP kernel estimated in independent blocks
+# of (state, width) pairs on several threads, the LCFS curve on four
+# threads at once, and both kernels' golden tables) rebuilt and re-run
+# under ThreadSanitizer, and the
 # numeric-kernel tests (SMDP kernel estimation, samplers, analytic golden
 # tables, M/G/1, the busy-period kernel, the loss-model fixpoint), the
 # finite-station kernel tests (network, its golden table, multichannel,
@@ -57,8 +59,8 @@ scripts/results_gate.sh build/bench build/bench/results_gate
 
 echo "== tier-1: study smoke (standalone vs --suite vs resume, cmp) =="
 scripts/study_smoke.sh build/bench/study_tool build/bench/study_smoke \
-    ablation_window_size ablation_adaptive_width policy_grid large_n \
-    multichannel
+    ablation_window_size ablation_adaptive_width ablation_discard \
+    policy_grid large_n multichannel
 
 echo "== tier-1: observability overlay smoke (CSV bit-equality, artifacts) =="
 scripts/overlay_smoke.sh build/bench/study_tool build/bench/kernel_bench \

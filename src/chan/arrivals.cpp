@@ -1,7 +1,5 @@
 #include "chan/arrivals.hpp"
 
-#include <cmath>
-
 #include "sim/sampling.hpp"
 #include "util/contract.hpp"
 
@@ -64,57 +62,6 @@ double PeriodicJitterProcess::next(sim::Rng& rng) {
   next_tick_ += period_;
   last_emitted_ = t;
   return t;
-}
-
-BernoulliSlotProcess::BernoulliSlotProcess(double p_per_slot, double start)
-    : p_(p_per_slot), slot_(std::floor(start)) {
-  TCW_EXPECTS(p_per_slot > 0.0 && p_per_slot <= 1.0);
-}
-
-double BernoulliSlotProcess::next(sim::Rng& rng) {
-  while (true) {
-    slot_ += 1.0;
-    if (sim::bernoulli(rng, p_)) {
-      return slot_ + sim::uniform01(rng);
-    }
-  }
-}
-
-MmppProcess::MmppProcess(double rate0, double rate1, double mean_sojourn0,
-                         double mean_sojourn1, double start)
-    : rate_{rate0, rate1}, mean_sojourn_{mean_sojourn0, mean_sojourn1},
-      t_(start), state_until_(start) {
-  TCW_EXPECTS(rate0 >= 0.0 && rate1 >= 0.0);
-  TCW_EXPECTS(rate0 > 0.0 || rate1 > 0.0);
-  TCW_EXPECTS(mean_sojourn0 > 0.0 && mean_sojourn1 > 0.0);
-}
-
-double MmppProcess::next(sim::Rng& rng) {
-  while (true) {
-    if (t_ >= state_until_) {
-      state_until_ = t_ + sim::exponential(rng, 1.0 / mean_sojourn_[state_]);
-    }
-    if (rate_[state_] <= 0.0) {
-      t_ = state_until_;
-      state_ ^= 1;
-      continue;
-    }
-    const double gap = sim::exponential(rng, rate_[state_]);
-    if (t_ + gap < state_until_) {
-      t_ += gap;
-      return t_;
-    }
-    // The candidate arrival falls past the state switch: discard it and
-    // resample in the next state (memorylessness makes this exact).
-    t_ = state_until_;
-    state_ ^= 1;
-  }
-}
-
-double MmppProcess::mean_rate() const {
-  const double w0 = mean_sojourn_[0];
-  const double w1 = mean_sojourn_[1];
-  return (w0 * rate_[0] + w1 * rate_[1]) / (w0 + w1);
 }
 
 std::unique_ptr<ArrivalProcess> make_poisson_for_offered_load(

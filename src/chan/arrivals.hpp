@@ -7,8 +7,6 @@
 //                            (the application motivating the paper, [Cohen 77]).
 // * PeriodicJitterProcess -- sensor readings: fixed period with uniform
 //                            jitter ([DSN 82] style).
-// * MmppProcess           -- 2-state Markov-modulated Poisson process for
-//                            bursty aggregate traffic.
 #pragma once
 
 #include <memory>
@@ -74,40 +72,6 @@ class PeriodicJitterProcess final : public ArrivalProcess {
   double jitter_;
   double next_tick_;
   double last_emitted_;
-};
-
-/// Slotted Bernoulli source: at each slot boundary an arrival occurs with
-/// probability p, placed uniformly inside the slot so arrival instants
-/// stay distinct across sources (the protocol operates on continuous
-/// arrival times).
-class BernoulliSlotProcess final : public ArrivalProcess {
- public:
-  explicit BernoulliSlotProcess(double p_per_slot, double start = 0.0);
-
-  double next(sim::Rng& rng) override;
-  double mean_rate() const override { return p_; }
-
- private:
-  double p_;
-  double slot_;
-};
-
-class MmppProcess final : public ArrivalProcess {
- public:
-  /// Two-state MMPP: Poisson rate `rate0`/`rate1` in state 0/1; exponential
-  /// sojourn with means `mean_sojourn0`/`mean_sojourn1`.
-  MmppProcess(double rate0, double rate1, double mean_sojourn0,
-              double mean_sojourn1, double start = 0.0);
-
-  double next(sim::Rng& rng) override;
-  double mean_rate() const override;
-
- private:
-  double rate_[2];
-  double mean_sojourn_[2];
-  int state_ = 0;
-  double t_;
-  double state_until_;
 };
 
 /// Convenience factory for the paper's workload: aggregate Poisson traffic

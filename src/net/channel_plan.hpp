@@ -105,8 +105,6 @@ class ChannelSelector {
                       const double* lane_busy_until,
                       const std::uint64_t* lane_load, double service);
 
-  const ChannelPlan& plan() const { return plan_; }
-
  private:
   std::uint32_t from_unit(double u) const;
 

@@ -16,6 +16,10 @@ namespace tcw::smdp {
 
 namespace {
 
+// Distinctive hi coordinate on the derive_stream_seed plane for the pair
+// streams, far outside the small (hi, lo) corner sweep shards use.
+constexpr std::uint64_t kSmdpPairHi = 0x5D3DFA12ULL;
+
 const obs::Counter& kernel_pairs_counter() {
   static const obs::Counter counter =
       obs::Registry::global().counter("smdp.kernel_pairs");
@@ -29,6 +33,15 @@ const obs::Counter& mc_samples_counter() {
 }
 
 }  // namespace
+
+std::uint64_t pair_stream_seed(std::uint64_t seed, std::size_t state,
+                               std::size_t width) {
+  // State and width take 32 bits each of the lo coordinate.
+  constexpr std::uint64_t kLimit = std::uint64_t{1} << 32;
+  TCW_EXPECTS(state < kLimit && width < kLimit);
+  return sim::derive_stream_seed(
+      seed, kSmdpPairHi, (static_cast<std::uint64_t>(state) << 32) | width);
+}
 
 ProcessOutcome splitting_outcome(double oldest, double second) {
   TCW_EXPECTS(oldest >= 0.0 && second < 1.0);
@@ -57,8 +70,6 @@ WindowModelPass::WindowModelPass(const WindowSmdpConfig& config,
   TCW_EXPECTS(blocks >= 1);
   for (const std::size_t k : deadlines_) TCW_EXPECTS(k >= 1);
 
-  // Every deadline draws the pairs (i, w) in this order from this seed, so
-  // a shorter deadline's stream is a prefix of a longer one's.
   const std::size_t k_max = *std::max_element(deadlines_.begin(),
                                               deadlines_.end());
   // A pair's expected work: its Poisson draw (~lambda*w + 1 uniforms), the
@@ -93,34 +104,12 @@ WindowModelPass::WindowModelPass(const WindowSmdpConfig& config,
     }
   }
   block_begin_.push_back(pairs_.size());
-  block_rng_.assign(this->blocks(), sim::Rng(config_.seed));
   estimated_.assign(this->blocks(), 0);
   actions_.resize(pairs_.size());
 }
 
-void WindowModelPass::plan() {
-  TCW_EXPECTS(!planned_);
-  planned_ = true;
-  // The replay draws exactly what estimate() draws: the arrival count and,
-  // from two arrivals on, one uniform per arrival position.
-  sim::Rng rng(config_.seed);
-  std::size_t p = 0;
-  for (std::size_t b = 0; b < blocks(); ++b) {
-    for (; p < block_begin_[b]; ++p) {
-      const sim::PoissonSampler arrivals(
-          config_.lambda * static_cast<double>(pairs_[p].width));
-      for (std::size_t s = 0; s < config_.mc_samples; ++s) {
-        const auto n = arrivals(rng);
-        if (n < 2) continue;
-        for (std::uint64_t j = 0; j < n; ++j) static_cast<void>(rng());
-      }
-    }
-    block_rng_[b] = rng;
-  }
-}
-
 void WindowModelPass::estimate(std::size_t block) {
-  TCW_EXPECTS(planned_ && block < blocks() && estimated_[block] == 0);
+  TCW_EXPECTS(block < blocks() && estimated_[block] == 0);
   // Dense row of K+1 next-state weights per model, for the pair being
   // estimated.
   std::vector<std::size_t> row_begin;
@@ -132,7 +121,6 @@ void WindowModelPass::estimate(std::size_t block) {
   std::vector<double> hits(rows_len, 0.0);
   std::vector<double> total_cost(deadlines_.size());
 
-  sim::Rng rng = block_rng_[block];
   const auto samples = static_cast<double>(config_.mc_samples);
   const std::size_t first = block_begin_[block];
   const std::size_t last = block_begin_[block + 1];
@@ -140,6 +128,7 @@ void WindowModelPass::estimate(std::size_t block) {
     const std::size_t i = pairs_[p].state;
     const std::size_t w = pairs_[p].width;
     // Monte Carlo kernel estimate for (state i, window width w).
+    sim::Rng rng(pair_stream_seed(config_.seed, i, w));
     const sim::PoissonSampler arrivals(config_.lambda *
                                        static_cast<double>(w));
     std::fill(total_cost.begin(), total_cost.end(), 0.0);
@@ -234,8 +223,7 @@ std::vector<Smdp> WindowModelPass::models() {
       model.add_action(i, std::move(wait));
     }
   }
-  // Widths follow the wait action in ascending order, as the pass drew
-  // them.
+  // Widths follow the wait action in ascending order.
   for (std::size_t p = 0; p < pairs_.size(); ++p) {
     for (std::size_t m = 0; m < deadlines_.size(); ++m) {
       if (deadlines_[m] < pairs_[p].state) continue;
@@ -249,7 +237,6 @@ std::vector<Smdp> WindowModelPass::models() {
 std::vector<Smdp> build_window_smdps(
     const WindowSmdpConfig& config, const std::vector<std::size_t>& deadlines) {
   WindowModelPass pass(config, deadlines, 1);
-  pass.plan();
   pass.estimate(0);
   return pass.models();
 }

@@ -15,19 +15,19 @@
 // demonstrates, timed, the computational expense the paper cites for using
 // the decision model as a performance tool.
 //
-// A sample's process outcome does not depend on K, and every deadline
-// visits the (state, width) pairs in the same order from the same seed, so
-// one Monte-Carlo pass builds the models for a whole set of deadlines: each
-// sample is drawn once and accumulated into every model with K >= i. Each
-// model is bit-identical to building its deadline alone. WindowModelPass
-// runs that pass in blocks of pairs on several threads, with the same
-// result.
+// Each (state, width) pair draws its samples from its own stream, seeded
+// from (seed, state, width) alone, and a sample's process outcome does not
+// depend on K, so one Monte-Carlo pass builds the models for a whole set
+// of deadlines: each sample is drawn once and accumulated into every model
+// with K >= i. Each model is bit-identical to building its deadline alone,
+// and a width cap or another deadline set leaves a pair's estimate as it
+// is. WindowModelPass runs that pass in blocks of pairs on several
+// threads, with the same result.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "sim/rng.hpp"
 #include "smdp/policy_iteration.hpp"
 #include "smdp/smdp.hpp"
 
@@ -52,14 +52,10 @@ Smdp build_window_smdp(const WindowSmdpConfig& config);
 std::vector<Smdp> build_window_smdps(
     const WindowSmdpConfig& config, const std::vector<std::size_t>& deadlines);
 
-/// build_window_smdps in stages, so that the Monte-Carlo pass can run on
-/// several threads. Every (state, width) pair draws from one stream, so a
-/// pair's samples depend on every draw before it: plan() replays the draws
-/// alone (no kernel arithmetic; about half the pass) and keeps the stream
-/// state where each block of pairs starts, estimate(b) builds block b from
-/// that state, and models() assembles the blocks. The models are bit for
-/// bit those of build_window_smdps, for any block count; one block needs
-/// no replay.
+/// build_window_smdps in blocks of pairs, so that the Monte-Carlo pass can
+/// run on several threads: estimate(b) builds block b from its pairs' own
+/// streams, and models() assembles the blocks. The models are bit for bit
+/// those of build_window_smdps, for any block count, order or thread.
 class WindowModelPass {
  public:
   /// Splits the pairs up to the largest deadline into `blocks` contiguous
@@ -69,10 +65,8 @@ class WindowModelPass {
                   std::vector<std::size_t> deadlines, std::size_t blocks);
 
   std::size_t blocks() const { return block_begin_.size() - 1; }
-  /// Record where each block starts in the stream. Call once, first.
-  void plan();
-  /// Estimate the pairs of one block, after plan(). Distinct blocks may
-  /// run concurrently; each block runs once.
+  /// Estimate the pairs of one block. Distinct blocks may run
+  /// concurrently and in any order; each block runs once.
   void estimate(std::size_t block);
   /// One model per deadline, once every block is estimated. Moves the
   /// estimates out, so call it once.
@@ -85,15 +79,18 @@ class WindowModelPass {
   };
   WindowSmdpConfig config_;
   std::vector<std::size_t> deadlines_;
-  std::vector<Pair> pairs_;                // in stream order
+  std::vector<Pair> pairs_;                // by state, then width
   std::vector<std::size_t> block_begin_;   // first pair per block, then end
-  std::vector<sim::Rng> block_rng_;        // stream state at each block start
   std::vector<char> estimated_;            // per block; written by its runner
   // Per pair, one action per deadline (left empty where K < state).
   std::vector<std::vector<ActionData>> actions_;
-  bool planned_ = false;
   bool assembled_ = false;
 };
+
+/// The seed of pair (state, width)'s Monte-Carlo stream: a point on the
+/// sim::derive_stream_seed plane that depends on nothing else.
+std::uint64_t pair_stream_seed(std::uint64_t seed, std::size_t state,
+                               std::size_t width);
 
 /// Outcome of one windowing process over a unit-width initial window
 /// holding two or more arrivals, elements (1) and (3) at their Theorem-1

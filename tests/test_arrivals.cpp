@@ -122,80 +122,6 @@ TEST(PeriodicJitter, ExcessJitterRejected) {
                tcw::ContractViolation);
 }
 
-TEST(BernoulliSlot, StrictlyIncreasingAndOnePerSlot) {
-  chan::BernoulliSlotProcess b(0.3);
-  Rng rng(20);
-  double last = 0.0;
-  for (int i = 0; i < 2000; ++i) {
-    const double t = b.next(rng);
-    EXPECT_GT(t, last);
-    last = t;
-  }
-}
-
-TEST(BernoulliSlot, RateMatchesP) {
-  chan::BernoulliSlotProcess b(0.25);
-  Rng rng(21);
-  double t = 0.0;
-  constexpr int kDraws = 100000;
-  for (int i = 0; i < kDraws; ++i) t = b.next(rng);
-  EXPECT_NEAR(kDraws / t, 0.25, 0.01);
-  EXPECT_DOUBLE_EQ(b.mean_rate(), 0.25);
-}
-
-TEST(BernoulliSlot, AtMostOneArrivalPerSlot) {
-  chan::BernoulliSlotProcess b(0.9);
-  Rng rng(22);
-  double last_slot = -1.0;
-  for (int i = 0; i < 2000; ++i) {
-    const double t = b.next(rng);
-    const double slot = std::floor(t);
-    EXPECT_GT(slot, last_slot);
-    last_slot = slot;
-  }
-}
-
-TEST(BernoulliSlot, InvalidProbabilityRejected) {
-  EXPECT_THROW(chan::BernoulliSlotProcess(0.0), tcw::ContractViolation);
-  EXPECT_THROW(chan::BernoulliSlotProcess(1.5), tcw::ContractViolation);
-}
-
-TEST(Mmpp, StrictlyIncreasing) {
-  chan::MmppProcess m(0.5, 0.01, 100.0, 300.0);
-  Rng rng(10);
-  double last = 0.0;
-  for (int i = 0; i < 5000; ++i) {
-    const double t = m.next(rng);
-    EXPECT_GT(t, last);
-    last = t;
-  }
-}
-
-TEST(Mmpp, MeanRateIsSojournWeighted) {
-  chan::MmppProcess m(0.4, 0.1, 100.0, 300.0);
-  EXPECT_NEAR(m.mean_rate(), (100.0 * 0.4 + 300.0 * 0.1) / 400.0, 1e-12);
-}
-
-TEST(Mmpp, MeasuredRateMatchesMeanRate) {
-  chan::MmppProcess m(0.5, 0.05, 200.0, 200.0);
-  Rng rng(11);
-  double t = 0.0;
-  constexpr int kDraws = 100000;
-  for (int i = 0; i < kDraws; ++i) t = m.next(rng);
-  EXPECT_NEAR(kDraws / t, m.mean_rate(), 0.05 * m.mean_rate());
-}
-
-TEST(Mmpp, SilentStateIsAllowed) {
-  chan::MmppProcess m(1.0, 0.0, 50.0, 50.0);
-  Rng rng(12);
-  double last = 0.0;
-  for (int i = 0; i < 1000; ++i) {
-    const double t = m.next(rng);
-    EXPECT_GT(t, last);
-    last = t;
-  }
-}
-
 TEST(Factory, OfferedLoadConversion) {
   const auto p = chan::make_poisson_for_offered_load(0.5, 25.0);
   EXPECT_NEAR(p->mean_rate(), 0.02, 1e-12);

@@ -23,6 +23,8 @@
 #include "net/protocol_engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
+#include "smdp/window_model.hpp"
+#include "util/contract.hpp"
 
 using tcw::net::EngineKind;
 using tcw::net::Network;
@@ -117,6 +119,48 @@ TEST(SeedStreams, ChannelPlanesAvoidEveryOtherStream) {
       }
     }
   }
+}
+
+TEST(SeedStreams, SmdpPairPlaneAvoidsEveryOtherStream) {
+  // The SMDP kernel's (state, width) pair streams must be distinct from
+  // one another and alias no other plane: the raw seed, engine and coin
+  // streams, the batched arrival stream, the channel and selector planes,
+  // or the low-corner sweep-shard plane.
+  for (const std::uint64_t base : kBaseSeeds) {
+    std::set<std::uint64_t> others;
+    others.insert(base);
+    others.insert(tcw::net::batched_arrival_seed(base));
+    for (const EngineKind kind : kKinds) {
+      others.insert(tcw::net::engine_stream_seed(kind, base));
+      others.insert(tcw::net::engine_coin_seed(kind, base));
+    }
+    others.insert(tcw::net::channel_selector_seed(base));
+    for (std::uint32_t c = 1; c <= 8; ++c) {
+      others.insert(tcw::net::channel_stream_seed(base, c));
+    }
+    for (std::uint64_t hi = 0; hi < 64; ++hi) {
+      for (std::uint64_t lo = 0; lo < 64; ++lo) {
+        others.insert(tcw::sim::derive_stream_seed(base, hi, lo));
+      }
+    }
+    std::set<std::uint64_t> pairs;
+    for (std::size_t i = 1; i <= 64; ++i) {
+      for (std::size_t w = 1; w <= i; ++w) {
+        const std::uint64_t seed = tcw::smdp::pair_stream_seed(base, i, w);
+        EXPECT_TRUE(pairs.insert(seed).second)
+            << "pair streams collide, base=" << base << " i=" << i
+            << " w=" << w;
+        EXPECT_EQ(others.count(seed), 0u)
+            << "pair plane aliases another stream, base=" << base
+            << " i=" << i << " w=" << w;
+      }
+    }
+  }
+  // State and width are 32-bit fields of the lo coordinate.
+  EXPECT_THROW(tcw::smdp::pair_stream_seed(7, std::size_t{1} << 32, 1),
+               tcw::ContractViolation);
+  EXPECT_THROW(tcw::smdp::pair_stream_seed(7, 1, std::size_t{1} << 32),
+               tcw::ContractViolation);
 }
 
 // ---------------------------------------------------------------------------

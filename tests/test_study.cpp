@@ -84,9 +84,9 @@ TEST(StudyRegistry, ListsEveryRegisteredStudy) {
   const std::vector<std::string> expected{
       "ablation_theorem1",      "ablation_window_size",
       "ablation_split_fraction", "ablation_adaptive_width",
-      "ablation_asynchrony",    "priority_classes",
-      "policy_grid",            "large_n",
-      "multichannel"};
+      "ablation_discard",       "ablation_asynchrony",
+      "priority_classes",       "policy_grid",
+      "large_n",                "multichannel"};
   const auto& entries = bench::registry();
   ASSERT_EQ(entries.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {

@@ -5,12 +5,13 @@
 //    the low mantissa bits;
 //  * a bit-exact golden table of actions (cost, holding time, transition
 //    probabilities) and policy-iteration results, recorded as hex floats
-//    from the per-deadline Monte-Carlo builder the shared pass replaced;
+//    from the per-pair streams;
 //  * the shared multi-deadline pass against one build per deadline, bit
-//    for bit, over unsorted and repeated deadlines and a width cap;
-//  * WindowModelPass (the pass in blocks, replayed stream states) against
-//    the one-call pass for every block count, in any block order and on
-//    concurrent threads, plus its stage-order contracts.
+//    for bit, over unsorted and repeated deadlines and a width cap, and
+//    each pair's estimate unmoved by the deadline set or the cap;
+//  * WindowModelPass (the pass in blocks) against the one-call pass for
+//    every block count, in any block order and on concurrent threads,
+//    plus its stage-order contracts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -202,57 +203,56 @@ struct ActionGolden {
 
 const std::vector<ActionGolden>& action_golden() {
   static const std::vector<ActionGolden> table = {
-      {"small", 12, 1, 1, 0x0p+0, 0x1.472b020c49ba6p+0,
-       {{1, 0x1.d2f1a9fbe76c9p-1}, {4, 0x1.50e5604189375p-4},
-        {5, 0x1.89374bc6a7efap-11}, {6, 0x1.0624dd2f1a9fcp-9},
-        {7, 0x1.70a3d70a3d70ap-10}, {8, 0x1.916872b020c4ap-11},
-        {9, 0x1.3f7ced916872bp-12}, {10, 0x1.cac083126e979p-13},
-        {11, 0x1.3f7ced916872bp-12}}},
-      {"small", 12, 5, 3, 0x1.1205bc01a36e3p-12, 0x1.d883126e978d5p+0,
-       {{3, 0x1.7c6a7ef9db22dp-1}, {6, 0x1.c49ba5e353f7dp-3},
-        {8, 0x1.4189374bc6a7fp-7}, {9, 0x1.96872b020c49cp-7},
-        {10, 0x1.29fbe76c8b439p-8}, {11, 0x1.06a7ef9db22d1p-8},
-        {12, 0x1.56872b020c49cp-8}}},
-      {"small", 12, 9, 9, 0x1.ed73d3c361154p-7, 0x1.a5a1cac083127p+1,
-       {{1, 0x1.9e76c8b439581p-2}, {4, 0x1.6c083126e978dp-2},
-        {8, 0x1.6624dd2f1a9fcp-6}, {9, 0x1.03be76c8b4396p-4},
-        {10, 0x1.036872b020c4ap-4}, {11, 0x1.75c28f5c28f5cp-8},
-        {12, 0x1.5df7ced916873p-4}}},
-      {"small", 12, 12, 1, 0x1.d9a0f9096bb6cp-6, 0x1.4916872b020c5p+0,
+      {"small", 12, 1, 1, 0x0p+0, 0x1.48a3d70a3d70ap+0,
+       {{1, 0x1.d16872b020c4ap-1}, {4, 0x1.604189374bc6ap-4},
+        {5, 0x1.47ae147ae147bp-10}, {6, 0x1.ba5e353f7ced9p-10},
+        {7, 0x1.78d4fdf3b645ap-11}, {8, 0x1.604189374bc6ap-11},
+        {9, 0x1.ba5e353f7ced9p-12}, {10, 0x1.1eb851eb851ecp-13},
+        {11, 0x1.db22d0e560419p-14}}},
+      {"small", 12, 5, 3, 0x1.0985f06f69447p-11, 0x1.d99999999999ap+0,
+       {{3, 0x1.7ba5e353f7ceep-1}, {6, 0x1.c395810624dd3p-3},
+        {8, 0x1.5a1cac083126fp-7}, {9, 0x1.ac083126e978dp-7},
+        {10, 0x1.a7ef9db22d0e5p-8}, {11, 0x1.a1cac083126e9p-9},
+        {12, 0x1.353f7ced91687p-8}}},
+      {"small", 12, 9, 9, 0x1.d6fe5c91d14f9p-7, 0x1.9a3d70a3d70a4p+1,
+       {{1, 0x1.ac8b439581062p-2}, {4, 0x1.75c28f5c28f5cp-2},
+        {8, 0x1.47ef9db22d0e5p-6}, {9, 0x1.d6e978d4fdf3bp-5},
+        {10, 0x1.cc4189374bc6ap-5}, {11, 0x1.4c8b439581062p-8},
+        {12, 0x1.3e6e978d4fdf4p-4}}},
+      {"small", 12, 12, 1, 0x1.d1ed288ce700dp-6, 0x1.4851eb851eb85p+0,
        {{12, 0x1p+0}}},
-      {"small", 12, 12, 6, 0x1.5bf4538ef34cfp-5, 0x1.50189374bc6a8p+1,
-       {{7, 0x1.1978d4fdf3b64p-1}, {10, 0x1.4978d4fdf3b64p-2},
-        {12, 0x1.072b020c49ba6p-3}}},
-      {"small", 12, 12, 12, 0x1.a3f0538ef34f3p-5, 0x1.e0395810624ddp+1,
-       {{1, 0x1.45604189374bcp-2}, {4, 0x1.6b020c49ba5e3p-2},
-        {8, 0x1.f3b645a1cac08p-9}, {9, 0x1.245a1cac08312p-5},
-        {10, 0x1.c28f5c28f5c29p-10}, {11, 0x1.3ef9db22d0e56p-3},
-        {12, 0x1.0bd70a3d70a3dp-3}}},
-      {"l012", 8, 2, 2, 0x1.13404ea4a8c16p-10, 0x1.e0624dd2f1aap+0,
-       {{1, 0x1.94bc6a7ef9db2p-1}, {5, 0x1.820c49ba5e354p-3},
-        {7, 0x1.7ced916872b02p-7}, {8, 0x1.3333333333333p-7}}},
-      {"l012", 8, 6, 3, 0x1.74997a24894b8p-6, 0x1.26e147ae147aep+1,
-       {{4, 0x1.67ae147ae147bp-1}, {8, 0x1.30a3d70a3d70ap-2}}},
-      {"l012", 8, 8, 4, 0x1.5ecf56eac8655p-4, 0x1.544189374bc6ap+1,
-       {{5, 0x1.416872b020c4ap-1}, {8, 0x1.7d2f1a9fbe76dp-2}}},
-      {"l012", 8, 8, 8, 0x1.99551d68c697cp-4, 0x1.fec8b43958106p+1,
-       {{1, 0x1.87ae147ae147bp-2}, {5, 0x1.7d70a3d70a3d7p-2},
-        {8, 0x1.f5c28f5c28f5cp-3}}},
-      {"l012", 12, 2, 2, 0x0p+0, 0x1.e0624dd2f1aap+0,
-       {{1, 0x1.94bc6a7ef9db2p-1}, {5, 0x1.820c49ba5e354p-3},
-        {7, 0x1.7ced916872b02p-7}, {8, 0x1.020c49ba5e354p-8},
-        {9, 0x1.a1cac083126e9p-9}, {10, 0x1.374bc6a7ef9dbp-10},
-        {11, 0x1.16872b020c49cp-10}}},
-      {"l012", 12, 8, 4, 0x1.6b9ffd60e94f1p-7, 0x1.544189374bc6ap+1,
-       {{5, 0x1.416872b020c4ap-1}, {9, 0x1.283126e978d5p-2},
-        {12, 0x1.53f7ced916873p-4}}},
-      {"l012", 12, 11, 5, 0x1.c3d71758e21b4p-5, 0x1.88p+1,
-       {{7, 0x1.18d4fdf3b645ap-1}, {11, 0x1.4a3d70a3d70a4p-2},
-        {12, 0x1.083126e978d5p-3}}},
-      {"l012", 12, 12, 12, 0x1.bb7ba8826aa8cp-4, 0x1.44083126e978dp+2,
-       {{1, 0x1.c3126e978d4fep-3}, {5, 0x1.5ef9db22d0e56p-2},
-        {9, 0x1.0a3d70a3d70a4p-8}, {10, 0x1.6872b020c49bap-5},
-        {11, 0x1.df3b645a1cac1p-10}, {12, 0x1.8c66666666666p-2}}},
+      {"small", 12, 12, 6, 0x1.419b3d07c84b8p-5, 0x1.4dc28f5c28f5cp+1,
+       {{7, 0x1.19fbe76c8b439p-1}, {10, 0x1.4d0e560418937p-2},
+        {12, 0x1.fbe76c8b43958p-4}}},
+      {"small", 12, 12, 12, 0x1.b65ce075f7p-5, 0x1.e6c083126e979p+1,
+       {{1, 0x1.3645a1cac0831p-2}, {4, 0x1.6fdf3b645a1cbp-2},
+        {8, 0x1.2f1a9fbe76c8bp-8}, {9, 0x1.272b020c49ba6p-5},
+        {10, 0x1.810624dd2f1aap-10}, {11, 0x1.4066666666666p-3},
+        {12, 0x1.1d0a3d70a3d71p-3}}},
+      {"l012", 8, 2, 2, 0x1.044a6223e1866p-9, 0x1.e9cac083126e9p+0,
+       {{1, 0x1.926e978d4fdf4p-1}, {5, 0x1.7a5e353f7ced9p-3},
+        {7, 0x1.126e978d4fdf4p-6}, {8, 0x1.999999999999ap-7}}},
+      {"l012", 8, 6, 3, 0x1.431fddebd900dp-6, 0x1.27b645a1cac08p+1,
+       {{4, 0x1.647ae147ae148p-1}, {8, 0x1.370a3d70a3d71p-2}}},
+      {"l012", 8, 8, 4, 0x1.637a786c226dep-4, 0x1.5ce5604189375p+1,
+       {{5, 0x1.378d4fdf3b646p-1}, {8, 0x1.90e5604189375p-2}}},
+      {"l012", 8, 8, 8, 0x1.ae945a1cac0d3p-4, 0x1.035810624dd2fp+2,
+       {{1, 0x1.8p-2}, {5, 0x1.7b645a1cac083p-2}, {8, 0x1.049ba5e353f7dp-2}}},
+      {"l012", 12, 2, 2, 0x1.8e219652bd3c4p-14, 0x1.e9cac083126e9p+0,
+       {{1, 0x1.926e978d4fdf4p-1}, {5, 0x1.7a5e353f7ced9p-3},
+        {7, 0x1.126e978d4fdf4p-6}, {8, 0x1.374bc6a7ef9dbp-8},
+        {9, 0x1.df3b645a1cac1p-9}, {10, 0x1.4395810624dd3p-10},
+        {11, 0x1.d916872b020c5p-10}, {12, 0x1.147ae147ae148p-10}}},
+      {"l012", 12, 8, 4, 0x1.62c5197a24899p-7, 0x1.5ce5604189375p+1,
+       {{5, 0x1.378d4fdf3b646p-1}, {9, 0x1.3e76c8b439581p-2},
+        {12, 0x1.49ba5e353f7cfp-4}}},
+      {"l012", 12, 11, 5, 0x1.c92987e7c06f9p-5, 0x1.8ee978d4fdf3bp+1,
+       {{7, 0x1.128f5c28f5c29p-1}, {11, 0x1.5cac083126e98p-2},
+        {12, 0x1.f8d4fdf3b645ap-4}}},
+      {"l012", 12, 12, 12, 0x1.b22a5f84cad62p-4, 0x1.3f916872b020cp+2,
+       {{1, 0x1.d4fdf3b645a1dp-3}, {5, 0x1.6189374bc6a7fp-2},
+        {9, 0x1.604189374bc6ap-8}, {10, 0x1.6083126e978d5p-5},
+        {11, 0x1.9fbe76c8b4396p-9}, {12, 0x1.7f26e978d4fdfp-2}}},
   };
   return table;
 }
@@ -290,12 +290,12 @@ struct SolveGolden {
 
 TEST(WindowSmdpGolden, PolicyIterationMatchesRecordedSolve) {
   const std::vector<SolveGolden> table = {
-      {small_config(), 0x1.d2772a464b0bcp-14, 4,
-       {0, 1, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4}},
-      {study_like_config(8), 0x1.ed027ab4254cbp-9, 4,
-       {0, 0, 2, 3, 4, 4, 4, 4, 7}},
-      {study_like_config(12), 0x1.31f29f380e42bp-10, 4,
-       {0, 0, 2, 3, 3, 4, 5, 4, 7, 6, 7, 4, 5}},
+      {small_config(), 0x1.afb0410740dd5p-14, 5,
+       {0, 1, 2, 2, 3, 4, 3, 4, 5, 5, 3, 3, 4}},
+      {study_like_config(8), 0x1.e57e5b8271293p-9, 4,
+       {0, 1, 2, 3, 4, 5, 4, 6, 6}},
+      {study_like_config(12), 0x1.44df380723505p-10, 4,
+       {0, 1, 2, 3, 4, 5, 4, 6, 6, 6, 9, 10, 6}},
   };
   for (const SolveGolden& g : table) {
     const auto solved = smdp::solve_window_model(g.config);
@@ -345,6 +345,30 @@ TEST(WindowSmdpShared, SolvesEqualOneSolvePerDeadline) {
   }
 }
 
+TEST(WindowModelPass, PairEstimateIgnoresDeadlinesAndCap) {
+  // Every pair reads its own stream, so neither a longer deadline in the
+  // same pass nor a width cap that drops other pairs moves it.
+  auto cfg = study_like_config(0);
+  cfg.mc_samples = 1000;
+  const smdp::Smdp alone = smdp::build_window_smdps(cfg, {8}).front();
+  const auto longer = smdp::build_window_smdps(cfg, {16, 8});
+  cfg.max_window = 5;
+  const auto capped = smdp::build_window_smdps(cfg, {16, 8});
+  for (std::size_t i = 1; i <= 8; ++i) {
+    for (std::size_t w = 1; w <= i; ++w) {
+      // Appended: GCC 12 at -O3 reports a false-positive -Wrestrict on
+      // "literal" + std::to_string(...).
+      std::string what = "(";
+      what += std::to_string(i) + ", w=" + std::to_string(w) + ")";
+      expect_same_action(longer[1].action(i, w), alone.action(i, w),
+                         what + " beside K=16");
+      if (w > cfg.max_window) continue;
+      expect_same_action(capped[1].action(i, w), alone.action(i, w),
+                         what + " capped at 5");
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The pass in blocks.
 
@@ -358,8 +382,7 @@ TEST(WindowModelPass, EveryBlockCountEqualsOnePass) {
     for (const std::size_t blocks :
          std::vector<std::size_t>{1, 2, 3, 7, 64, 1000}) {
       smdp::WindowModelPass pass(cfg, deadlines, blocks);
-      pass.plan();
-      // Last block first: a block depends only on its replayed state.
+      // Last block first: a block depends only on its own pairs.
       for (std::size_t b = pass.blocks(); b-- > 0;) pass.estimate(b);
       const auto got = pass.models();
       ASSERT_EQ(got.size(), want.size());
@@ -380,7 +403,6 @@ TEST(WindowModelPass, ConcurrentBlocksEqualOnePass) {
   const auto want = smdp::build_window_smdps(cfg, deadlines);
   smdp::WindowModelPass pass(cfg, deadlines, 8);
   ASSERT_EQ(pass.blocks(), 8u);
-  pass.plan();
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < 4; ++t) {
     threads.emplace_back([&pass, t] {
@@ -407,9 +429,6 @@ TEST(WindowModelPass, StagesRunInOrderAndOnce) {
   auto cfg = study_like_config(0);
   cfg.mc_samples = 100;
   smdp::WindowModelPass pass(cfg, {4}, 2);
-  EXPECT_THROW(pass.estimate(0), tcw::ContractViolation);  // before plan
-  pass.plan();
-  EXPECT_THROW(pass.plan(), tcw::ContractViolation);
   EXPECT_THROW(pass.estimate(2), tcw::ContractViolation);  // no such block
   pass.estimate(1);
   EXPECT_THROW(pass.estimate(1), tcw::ContractViolation);
@@ -429,7 +448,6 @@ TEST(WindowModelPass, CountersAddOncePerPassForAnyBlockCount) {
   const std::uint64_t pairs_before = pairs.value();
   const std::uint64_t samples_before = samples.value();
   smdp::WindowModelPass pass(cfg, {12, 8}, 4);
-  pass.plan();
   for (std::size_t b = 0; b < pass.blocks(); ++b) pass.estimate(b);
   // sum_{i=1}^{12} min(i, 5) = 50 pairs, as in one build_window_smdps.
   EXPECT_EQ(pairs.value() - pairs_before, 50u);
