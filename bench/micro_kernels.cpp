@@ -72,15 +72,35 @@ void BM_Convolve(benchmark::State& state) {
 BENCHMARK(BM_Convolve)->Arg(64)->Arg(256)->Arg(1024)->Complexity();
 
 void BM_RenewalFunction(benchmark::State& state) {
-  const auto service = tcw::dist::deterministic(26);
-  const auto len = static_cast<std::size_t>(state.range(0));
-  std::vector<double> beta(104, 1.0 / 104.0);
+  // Args = {runs, len}. runs = 1: the refined equilibrium beta of Figure
+  // 7's FCFS service (rho' = 0.5, M = 25): 256 sub-cells in 39 runs of
+  // equal values. runs = 0: a run-free beta, the same cells perturbed so
+  // that no two neighbours are equal (one run per cell).
+  tcw::analysis::ProtocolModelConfig cfg;
+  cfg.offered_load = 0.5;
+  cfg.message_length = 25.0;
+  const auto service = tcw::analysis::service_distribution(
+      cfg, tcw::analysis::optimal_window_load());
+  auto beta = tcw::analysis::refined_equilibrium(service, cfg.refine);
+  if (state.range(0) == 0) {
+    for (std::size_t j = 0; j < beta.size(); ++j) {
+      beta[j] *= 1.0 + 1e-3 * static_cast<double>(j % 7);
+    }
+  }
+  const double rho = tcw::analysis::offered_intensity(service, cfg.lambda());
+  const auto len = static_cast<std::size_t>(state.range(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tcw::analysis::renewal_function(beta, 0.55, len));
+    benchmark::DoNotOptimize(tcw::analysis::renewal_function(beta, rho, len));
   }
 }
-BENCHMARK(BM_RenewalFunction)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_RenewalFunction)
+    ->ArgNames({"runs", "len"})
+    ->Args({1, 256})
+    ->Args({1, 1024})
+    ->Args({1, 4096})
+    ->Args({0, 256})
+    ->Args({0, 1024})
+    ->Args({0, 4096});
 
 void BM_BusyPeriod(benchmark::State& state) {
   // Args = {det, busy-period length}. det = 0: the geometric-shifted

@@ -26,11 +26,14 @@
 # threads at once, and both kernels' golden tables) rebuilt and re-run
 # under ThreadSanitizer, and the
 # numeric-kernel tests (SMDP kernel estimation, samplers, analytic golden
-# tables, M/G/1, the busy-period kernel, the loss-model fixpoint), the
-# finite-station kernel tests (network, its golden table, multichannel,
-# event-skip, fast path) and the aggregate kernel's golden table rebuilt
-# and re-run under AddressSanitizer + UBSan. Kernel speed is measured by
-# perfbench (see BENCHMARK.json), not here.
+# tables, M/G/1 and its run-compressed renewal kernel against the dense
+# oracle, the busy-period kernel, the loss-model fixpoint, the analytic
+# contracts on K and ProtocolModelConfig), the finite-station kernel
+# tests (network, its golden table, multichannel, event-skip, fast path)
+# and the aggregate kernel's golden table rebuilt and re-run under
+# AddressSanitizer + UBSan. Both sanitizer trees build with -Werror, as
+# the main tree does. Kernel speed is measured by perfbench (see
+# BENCHMARK.json), not here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -76,7 +79,7 @@ python3 scripts/check_bench_json.py \
     build/bench/dist_smoke/*.log
 
 echo "== tier-1: concurrency + kernel tests under ThreadSanitizer =="
-cmake -B build-tsan -S . -DTCW_SANITIZE=thread >/dev/null
+cmake -B build-tsan -S . -DTCW_SANITIZE=thread -DTCW_WERROR=ON >/dev/null
 cmake --build build-tsan -j --target test_thread_pool \
     test_sweep_determinism test_sweep_scheduler test_flat_deque \
     test_kernel_fastpath test_event_skip test_protocol_engines \
@@ -88,10 +91,11 @@ cmake --build build-tsan -j --target test_thread_pool \
 echo "== tier-1: numeric + network kernel tests under AddressSanitizer + UBSan =="
 asan_tests="test_window_model test_window_model_golden test_smdp \
     test_sampling test_analytic_golden test_mg1 test_busy_period \
-    test_loss_model test_network \
+    test_loss_model test_contract test_network \
     test_network_golden test_aggregate_golden test_multichannel \
     test_event_skip test_kernel_fastpath"
-cmake -B build-asan -S . -DTCW_SANITIZE=address,undefined >/dev/null
+cmake -B build-asan -S . -DTCW_SANITIZE=address,undefined -DTCW_WERROR=ON \
+    >/dev/null
 cmake --build build-asan -j --target $asan_tests
 for t in $asan_tests; do
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 "build-asan/tests/$t"

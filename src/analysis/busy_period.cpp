@@ -133,7 +133,9 @@ dist::Pmf lcfs_waiting_distribution(const dist::Pmf& service, double lambda,
 
 double lcfs_waiting_cdf(const dist::Pmf& service, double lambda, double K,
                         std::size_t max_len) {
-  TCW_EXPECTS(K >= 0.0);
+  // The table holds cells 0 .. floor(K) + 1, so K must index a vector.
+  TCW_EXPECTS(std::isfinite(K) && K >= 0.0);
+  TCW_EXPECTS(K < static_cast<double>(std::vector<double>().max_size() - 2));
   if (max_len == 0) {
     // P(W <= K) only needs the busy-period table up to K; everything
     // longer lands in the (complementary) tail either way.

@@ -20,6 +20,18 @@ const obs::Counter& fixpoint_iters() {
   return counter;
 }
 
+/// Every knob the model reads: finite positive load and length, a finite
+/// nonnegative overhead, a fixpoint that can run and stop, a lattice.
+void expect_valid(const ProtocolModelConfig& cfg) {
+  TCW_EXPECTS(std::isfinite(cfg.offered_load) && cfg.offered_load > 0.0);
+  TCW_EXPECTS(std::isfinite(cfg.message_length) && cfg.message_length > 0.0);
+  TCW_EXPECTS(std::isfinite(cfg.success_overhead) &&
+              cfg.success_overhead >= 0.0);
+  TCW_EXPECTS(std::isfinite(cfg.fixpoint_tol) && cfg.fixpoint_tol > 0.0);
+  TCW_EXPECTS(cfg.fixpoint_max_iters >= 1);
+  TCW_EXPECTS(cfg.refine >= 1);
+}
+
 std::size_t transmission_slots(const ProtocolModelConfig& cfg) {
   const double total = cfg.message_length + cfg.success_overhead;
   const auto slots = static_cast<std::size_t>(std::llround(total));
@@ -36,6 +48,7 @@ double effective_window_load(double accepted_fraction) {
 }
 
 dist::Pmf service_distribution(const ProtocolModelConfig& cfg, double nu_eff) {
+  expect_valid(cfg);
   TCW_EXPECTS(nu_eff >= 0.0);
   const std::size_t tx = transmission_slots(cfg);
   dist::Pmf sched = dist::delta(0);
@@ -57,7 +70,8 @@ dist::Pmf service_distribution(const ProtocolModelConfig& cfg, double nu_eff) {
 
 ControlledLossPoint controlled_loss_at(const ProtocolModelConfig& cfg,
                                        double K, double initial_guess) {
-  TCW_EXPECTS(K >= 0.0);
+  expect_valid(cfg);
+  TCW_EXPECTS(std::isfinite(K) && K >= 0.0);
   const double lambda = cfg.lambda();
   TCW_EXPECTS(lambda > 0.0);
 
@@ -101,6 +115,7 @@ ControlledLossPoint controlled_loss_at(const ProtocolModelConfig& cfg,
 
 std::vector<ControlledLossPoint> controlled_loss_curve(
     const ProtocolModelConfig& cfg, const std::vector<double>& constraints) {
+  expect_valid(cfg);
   std::vector<ControlledLossPoint> out;
   out.reserve(constraints.size());
   // Anchor: at K = 0 the scheduling time is exactly 0 (paper Section 4.1),
@@ -118,7 +133,7 @@ std::vector<ControlledLossPoint> controlled_loss_curve(
 }
 
 double lcfs_nodiscard_loss(const ProtocolModelConfig& cfg, double K) {
-  TCW_EXPECTS(K >= 0.0);
+  TCW_EXPECTS(std::isfinite(K) && K >= 0.0);
   const dist::Pmf service = service_distribution(cfg, optimal_window_load());
   const double rho = offered_intensity(service, cfg.lambda());
   if (rho >= 1.0) return 1.0;
@@ -127,7 +142,7 @@ double lcfs_nodiscard_loss(const ProtocolModelConfig& cfg, double K) {
 }
 
 double fcfs_nodiscard_loss(const ProtocolModelConfig& cfg, double K) {
-  TCW_EXPECTS(K >= 0.0);
+  TCW_EXPECTS(std::isfinite(K) && K >= 0.0);
   // No discard: all messages are scheduled, so the windows carry the full
   // optimal load nu*.
   const dist::Pmf service = service_distribution(cfg, optimal_window_load());

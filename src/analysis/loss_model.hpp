@@ -30,6 +30,10 @@ enum class SchedulingModel {
   ExactConditional,    // exact distribution of own-process probe counts
 };
 
+/// Every entry point below rejects, with a ContractViolation, a load or
+/// length that is not finite and > 0, an overhead that is not finite and
+/// >= 0, a tolerance that is not finite and > 0, fewer than one fixpoint
+/// step, a zero lattice factor, and a K that is not finite and >= 0.
 struct ProtocolModelConfig {
   double offered_load = 0.5;      // rho' = lambda * M
   double message_length = 25.0;   // M in slots (must be integral)

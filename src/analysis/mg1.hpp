@@ -13,8 +13,15 @@
 // beta^(i) its i-fold convolution (beta^(0) = delta at 0). The series is
 // summed in closed form as the renewal function U = sum_i rho^i beta^(i),
 // which satisfies U = delta_0 + rho * (beta conv U) and is computed by one
-// forward-substitution pass. It converges for every rho when K is finite,
-// so the loss system is evaluated also at rho >= 1.
+// run-compressed forward-substitution pass: beta is cut into maximal runs
+// of exactly equal values, and each run adds its whole window of U to a
+// cell as one difference of (compensated) prefix sums, so the pass costs
+// O(len x runs) rather than O(len x |beta|). A refined Figure-7 beta has
+// ~40 runs against its 250-560 cells. The series converges for every rho
+// when K is finite, so the loss system is evaluated also at rho >= 1.
+// Every entry point rejects a K (or lattice length) that is not finite
+// and >= 0, or whose refined lattice a vector cannot index, with a
+// ContractViolation.
 //
 // Lattice accuracy: service times are integer slot counts, but arrivals are
 // continuous, so the true equilibrium density is piecewise constant over
@@ -25,6 +32,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "dist/pmf.hpp"
 
@@ -37,9 +45,17 @@ double offered_intensity(const dist::Pmf& service, double lambda);
 /// Requires rho < 1.
 double pk_mean_wait(const dist::Pmf& service, double lambda);
 
+/// Equilibrium (residual) distribution of an integer-slot service time on
+/// a lattice refined by `c` sub-cells per slot. The continuous residual
+/// density is constant over each unit cell [k, k+1); refining spreads each
+/// cell's mass P(S>k)/E[S] evenly over its c sub-cells. Exposed for tests
+/// and benchmarks.
+std::vector<double> refined_equilibrium(const dist::Pmf& service, unsigned c);
+
 /// The renewal function U = sum_i rho^i beta^(i) on a lattice of `len`
-/// points, where beta is the (already lattice) equilibrium pmf. Exposed
-/// for tests; most callers want the wrappers below.
+/// points, where beta is the (already lattice) equilibrium pmf; any beta
+/// with 1 - rho * beta[0] > 0. Exposed for tests; most callers want the
+/// wrappers below.
 std::vector<double> renewal_function(const std::vector<double>& beta,
                                      double rho, std::size_t len);
 

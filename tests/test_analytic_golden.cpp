@@ -67,15 +67,15 @@ const std::vector<PanelGolden>& panels() {
      .message_length = 25,
      .K = {12.5, 25, 37.5, 50, 75, 100, 150, 200, 300, 400},
      .controlled = {
-         0x1.0aef5fecf2d94p-3, 0x1.700429acbee2p-5, 0x1.11624f6050fabp-6,
-         0x1.73ba5125c3d81p-8, 0x1.831395a90dc01p-11, 0x1.90af120861562p-14,
+         0x1.0aef5fecf2d94p-3, 0x1.700429acbee2p-5, 0x1.11624f6050f8bp-6,
+         0x1.73ba5125c3d81p-8, 0x1.831395a90dc01p-11, 0x1.90af120863562p-14,
          0x1.a8daf7abffff6p-20, 0x1.c17789fffffe5p-26, 0x1.d443fffff9bbbp-38,
          0x1.d443fffff9bbbp-39},
      .iterations = {5, 5, 4, 4, 4, 3, 3, 3, 3, 1},
      .fcfs = {
-         0x1.5ed146a86470cp-3, 0x1.f35b7438a3dbp-5, 0x1.74fc655d1d78p-6,
+         0x1.5ed146a86470cp-3, 0x1.f35b7438a3dbp-5, 0x1.74fc655d1d76p-6,
          0x1.fc9e47dc67ep-8, 0x1.08f868de8a2p-10, 0x1.124a05af8fp-13,
-         0x1.22d53d17p-19, 0x1.33ae381p-25, 0x1.408ap-37,
+         0x1.22d53d17p-19, 0x1.33ae38p-25, 0x1.408ap-37,
          0x0p+0},
      .lcfs = {
          0x1.41af9ce0b5b8cp-3, 0x1.9572ee385a27p-5, 0x1.f3fbdd611e92p-6,
@@ -88,14 +88,14 @@ const std::vector<PanelGolden>& panels() {
      .K = {12.5, 25, 37.5, 50, 75, 100, 150, 200, 300, 400},
      .controlled = {
          0x1.e6eedb84981e4p-3, 0x1.fd89444719b1p-4, 0x1.247f851a3ff98p-4,
-         0x1.4ad4aa29400c6p-5, 0x1.c7b32c0ca738dp-7, 0x1.3e8f11a1a2801p-8,
-         0x1.3aee5dac163ffp-11, 0x1.385d22e7450bep-14, 0x1.33bff3da7fffap-20,
-         0x1.2f8438a000003p-26},
+         0x1.4ad4aa29400b7p-5, 0x1.c7b32c0ca738dp-7, 0x1.3e8f11a1a2701p-8,
+         0x1.3aee5dac163ffp-11, 0x1.385d22e7490bap-14, 0x1.33bff3da7fffap-20,
+         0x1.2f8438a000005p-26},
      .iterations = {5, 5, 4, 4, 4, 4, 4, 3, 3, 3},
      .fcfs = {
-         0x1.a090bf5d0d0fp-2, 0x1.e8120d2564174p-3, 0x1.2730078dd0084p-3,
-         0x1.58f7dc28cd3dp-4, 0x1.e82300c46652p-6, 0x1.5839492bf99cp-7,
-         0x1.5590d0626b6p-10, 0x1.52e80dcb78p-13, 0x1.4de9b7f14p-19,
+         0x1.a090bf5d0d0fp-2, 0x1.e8120d2564174p-3, 0x1.2730078dd008p-3,
+         0x1.58f7dc28cd3c8p-4, 0x1.e82300c46652p-6, 0x1.5839492bf994p-7,
+         0x1.5590d0626b2p-10, 0x1.52e80dcb78p-13, 0x1.4de9b7f14p-19,
          0x1.4951dd3p-25},
      .lcfs = {
          0x1.4fcd2f7991826p-2, 0x1.3270a6669e418p-3, 0x1.d84f3a55dc5ep-4,
@@ -108,14 +108,14 @@ const std::vector<PanelGolden>& panels() {
      .K = {12.5, 25, 37.5, 50, 75, 100, 150, 200, 300, 400},
      .controlled = {
          0x1.4e64c20bbe198p-2, 0x1.b8360f3b2c69cp-3, 0x1.3d4794a6f43d4p-3,
-         0x1.d4c0b9285d3c2p-4, 0x1.16a8be474d74ep-4, 0x1.5dffd2edd7e04p-5,
-         0x1.2bb4cd25b8f27p-6, 0x1.0e16cd8626b83p-7, 0x1.ce2c6511dac0cp-10,
-         0x1.93518bc9316dcp-12},
+         0x1.d4c0b9285d3c2p-4, 0x1.16a8be474d756p-4, 0x1.5dffd2edd7e04p-5,
+         0x1.2bb4cd25b8f07p-6, 0x1.0e16cd8626b83p-7, 0x1.ce2c6511dac0cp-10,
+         0x1.93518bc9316ddp-12},
      .iterations = {5, 5, 5, 4, 4, 4, 4, 4, 4, 3},
      .fcfs = {
          0x1.70ff8e6abb9d3p-1, 0x1.2fee36d85ef42p-1, 0x1.f955aa939d276p-2,
-         0x1.a09d4fc72bfa8p-2, 0x1.1d56e01b33a08p-2, 0x1.868aee4e41facp-3,
-         0x1.6dacfc2da5dd8p-4, 0x1.56654c8186b3p-5, 0x1.2c39f76e5aap-7,
+         0x1.a09d4fc72bfa6p-2, 0x1.1d56e01b33a04p-2, 0x1.868aee4e41facp-3,
+         0x1.6dacfc2da5ddp-4, 0x1.56654c8186b2p-5, 0x1.2c39f76e5aap-7,
          0x1.074bca90256p-9},
      .lcfs = {
          0x1.059bb3c6b7d47p-1, 0x1.27f152db25b32p-2, 0x1.f488909f0ae68p-3,

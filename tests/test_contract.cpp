@@ -2,7 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <functional>
+#include <limits>
+
+#include "analysis/busy_period.hpp"
+#include "analysis/loss_model.hpp"
+#include "analysis/mg1.hpp"
+#include "dist/families.hpp"
+
 namespace {
+
+namespace analysis = tcw::analysis;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
 TEST(Contract, PassingChecksDoNothing) {
   EXPECT_NO_THROW(TCW_EXPECTS(1 + 1 == 2));
@@ -57,6 +71,115 @@ TEST(Contract, SideEffectsInConditionRunOnce) {
   };
   TCW_ASSERT(bump());
   EXPECT_EQ(calls, 1);
+}
+
+// ---------------------------------------------------------------------------
+// The analytic layer's time constraint K: a K that is not finite, or whose
+// refined lattice no vector can index, is a ContractViolation at every
+// entry point, never a silent K = 0 answer.
+// ---------------------------------------------------------------------------
+
+TEST(AnalyticContract, NonFiniteOrHugeKRejectedByMg1) {
+  const auto s = tcw::dist::deterministic(10);
+  const double lambda = 0.05;
+  for (const double K : {kInf, kNan, -1.0, 1e300}) {
+    EXPECT_THROW(analysis::mg1_waiting_cdf(s, lambda, K),
+                 tcw::ContractViolation)
+        << K;
+    EXPECT_THROW(analysis::mg1_impatient_loss(s, lambda, K),
+                 tcw::ContractViolation)
+        << K;
+    EXPECT_THROW(analysis::lcfs_waiting_cdf(s, lambda, K),
+                 tcw::ContractViolation)
+        << K;
+    EXPECT_THROW(analysis::lcfs_waiting_cdf(s, lambda, K, 100),
+                 tcw::ContractViolation)
+        << K;
+  }
+  const std::size_t huge = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(analysis::accepted_wait_distribution(s, lambda, huge),
+               tcw::ContractViolation);
+  EXPECT_THROW(analysis::accepted_wait_distribution(s, lambda, huge / 4),
+               tcw::ContractViolation);
+  EXPECT_THROW(analysis::mg1_waiting_distribution(s, lambda, huge / 2),
+               tcw::ContractViolation);
+}
+
+TEST(AnalyticContract, NonFiniteOrHugeKRejectedByLossModel) {
+  const analysis::ProtocolModelConfig cfg;  // rho' = 0.5: stable baselines
+  for (const double K : {kInf, kNan, -1.0, 1e300}) {
+    EXPECT_THROW(analysis::controlled_loss_at(cfg, K), tcw::ContractViolation)
+        << K;
+    EXPECT_THROW(analysis::fcfs_nodiscard_loss(cfg, K),
+                 tcw::ContractViolation)
+        << K;
+    EXPECT_THROW(analysis::lcfs_nodiscard_loss(cfg, K),
+                 tcw::ContractViolation)
+        << K;
+  }
+  EXPECT_THROW(analysis::controlled_loss_curve(cfg, {25.0, kInf}),
+               tcw::ContractViolation);
+}
+
+TEST(AnalyticContract, LargeFiniteKStillEvaluates) {
+  // Well inside the lattice bound the limit p -> 0 as K grows holds.
+  const analysis::ProtocolModelConfig cfg;
+  EXPECT_LT(analysis::controlled_loss_at(cfg, 2000.0).p_loss, 1e-12);
+  EXPECT_LT(analysis::fcfs_nodiscard_loss(cfg, 2000.0), 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// ProtocolModelConfig: one rejection per knob, at service_distribution and
+// at controlled_loss_at.
+// ---------------------------------------------------------------------------
+
+void expect_config_rejected(
+    const std::function<void(analysis::ProtocolModelConfig&)>& edit) {
+  analysis::ProtocolModelConfig cfg;
+  edit(cfg);
+  EXPECT_THROW(analysis::service_distribution(cfg, 1.0),
+               tcw::ContractViolation);
+  EXPECT_THROW(analysis::controlled_loss_at(cfg, 50.0),
+               tcw::ContractViolation);
+}
+
+TEST(AnalyticContract, OfferedLoadMustBeFinitePositive) {
+  for (const double v : {kNan, kInf, 0.0, -0.5}) {
+    expect_config_rejected([v](auto& c) { c.offered_load = v; });
+  }
+}
+
+TEST(AnalyticContract, MessageLengthMustBeFinitePositive) {
+  for (const double v : {kNan, kInf, 0.0, -25.0}) {
+    expect_config_rejected([v](auto& c) { c.message_length = v; });
+  }
+}
+
+TEST(AnalyticContract, SuccessOverheadMustBeFiniteNonnegative) {
+  for (const double v : {kNan, kInf, -1.0}) {
+    expect_config_rejected([v](auto& c) { c.success_overhead = v; });
+  }
+  analysis::ProtocolModelConfig cfg;
+  cfg.success_overhead = 0.0;
+  EXPECT_NO_THROW(analysis::controlled_loss_at(cfg, 50.0));
+}
+
+TEST(AnalyticContract, FixpointToleranceMustBeFinitePositive) {
+  // A NaN tolerance used to run every iteration and return unconverged.
+  for (const double v : {kNan, kInf, 0.0, -1e-10}) {
+    expect_config_rejected([v](auto& c) { c.fixpoint_tol = v; });
+  }
+}
+
+TEST(AnalyticContract, FixpointNeedsAtLeastOneIteration) {
+  // Zero iterations used to return the initial guess unexamined.
+  for (const int v : {0, -3}) {
+    expect_config_rejected([v](auto& c) { c.fixpoint_max_iters = v; });
+  }
+}
+
+TEST(AnalyticContract, LatticeRefinementMustBePositive) {
+  expect_config_rejected([](auto& c) { c.refine = 0; });
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Validates the M/G/1 machinery: the renewal-function series against
-// direct convolution, classical closed forms (M/M/1-like geometric checks,
+// direct convolution and the run-compressed kernel against the dense
+// forward substitution (a test-local oracle), classical closed forms (M/M/1-like geometric checks,
 // Pollaczek-Khinchine), the paper's eq. 4.7 limits, and a brute-force
 // event simulation of the impatient (balking) queue.
 #include "analysis/mg1.hpp"
@@ -7,9 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/loss_model.hpp"
+#include "analysis/splitting.hpp"
 #include "dist/families.hpp"
+#include "obs/registry.hpp"
 #include "sim/rng.hpp"
 #include "sim/sampling.hpp"
 #include "util/contract.hpp"
@@ -86,6 +93,139 @@ TEST(RenewalFunction, EmptyBetaIsDeltaAtZero) {
   ASSERT_EQ(u.size(), 6u);
   EXPECT_EQ(u[0], 1.0);
   for (std::size_t k = 1; k < u.size(); ++k) EXPECT_EQ(u[k], 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// The run-compressed kernel against the dense forward substitution it
+// replaced: U[k] = rho * sum_{j=1..min(k, |beta|-1)} beta[j] U[k-j] /
+// (1 - rho beta[0]), each cell's terms added in ascending j.
+// ---------------------------------------------------------------------------
+
+std::vector<double> dense_renewal(const std::vector<double>& beta, double rho,
+                                  std::size_t len) {
+  const double denom = 1.0 - rho * (beta.empty() ? 0.0 : beta[0]);
+  std::vector<double> u(len, 0.0);
+  u[0] = 1.0 / denom;
+  for (std::size_t k = 1; k < len; ++k) {
+    double acc = 0.0;
+    for (std::size_t j = 1; j <= k && j < beta.size(); ++j) {
+      acc += beta[j] * u[k - j];
+    }
+    u[k] = rho * acc / denom;
+  }
+  return u;
+}
+
+// Per cell, relative to the oracle's cell. The kernel's prefix sums carry
+// their rounding errors (TwoSum), so even cells 1e-18 below their running
+// sum agree to a few ulps; a plain prefix-sum difference would not.
+constexpr double kOracleRelTol = 1e-12;
+
+void expect_matches_oracle(const std::vector<double>& beta, double rho,
+                           std::size_t len, const std::string& what) {
+  const auto u = analysis::renewal_function(beta, rho, len);
+  const auto want = dense_renewal(beta, rho, len);
+  ASSERT_EQ(u.size(), len);
+  for (std::size_t k = 0; k < len; ++k) {
+    ASSERT_LE(std::abs(u[k] - want[k]), kOracleRelTol * std::abs(want[k]))
+        << what << " rho=" << rho << " len=" << len << " k=" << k
+        << ": got " << u[k] << ", oracle " << want[k];
+  }
+}
+
+/// A pmf of `cells` cells built from runs of 1..max_run equal values; a
+/// run is zero with probability p_zero. Normalized to mass 1.
+std::vector<double> random_runs(std::uint64_t seed, std::size_t cells,
+                                std::size_t max_run, double p_zero) {
+  tcw::sim::Rng rng(seed);
+  std::vector<double> beta;
+  while (beta.size() < cells) {
+    const auto run = 1 + static_cast<std::size_t>(
+                             tcw::sim::uniform01(rng) *
+                             static_cast<double>(max_run));
+    const bool zero = tcw::sim::uniform01(rng) < p_zero;
+    const double v = zero ? 0.0 : tcw::sim::uniform01(rng);
+    for (std::size_t i = 0; i < run && beta.size() < cells; ++i) {
+      beta.push_back(v);
+    }
+  }
+  beta.front() = 0.5 / static_cast<double>(cells);  // beta[0] != 0
+  double mass = 0.0;
+  for (const double v : beta) mass += v;
+  for (double& v : beta) v /= mass;
+  return beta;
+}
+
+TEST(RenewalOracle, RandomBetasMatchDenseSubstitution) {
+  const std::vector<std::pair<std::string, std::vector<double>>> betas = {
+      {"one-cell runs", random_runs(11, 200, 1, 0.0)},
+      {"long runs", random_runs(12, 400, 40, 0.0)},
+      {"zero gaps", random_runs(13, 400, 20, 0.4)},
+  };
+  for (const auto& [what, beta] : betas) {
+    for (const double rho : {0.3, 0.9, 1.5}) {
+      for (const std::size_t len : {std::size_t{1}, std::size_t{50},
+                                    beta.size(), 3 * beta.size()}) {
+        expect_matches_oracle(beta, rho, len, what);
+      }
+    }
+  }
+}
+
+TEST(RenewalOracle, LatticeShorterThanTheFirstRun) {
+  std::vector<double> beta(100, 0.01);
+  beta[0] = 0.02;
+  for (const double rho : {0.3, 0.9, 1.5}) {
+    for (const std::size_t len : {2u, 30u, 99u, 100u, 101u}) {
+      expect_matches_oracle(beta, rho, len, "one long run");
+    }
+  }
+}
+
+TEST(RenewalOracle, GrowthAtRhoAboveOneMatches) {
+  // At rho >= 1 with beta of mass 1, U grows without bound along k.
+  const auto beta = random_runs(14, 120, 8, 0.1);
+  const auto u = analysis::renewal_function(beta, 1.5, 1200);
+  EXPECT_GT(u.back(), 100.0 * u.front());
+  expect_matches_oracle(beta, 1.5, 1200, "growing U");
+}
+
+TEST(RenewalOracle, Figure7RefinedBetasMatchDenseSubstitution) {
+  // The refined equilibrium betas of the six Figure-7 services, both
+  // placements of z_bracket (left: beta; right: beta shifted one
+  // sub-cell), out to the panels' largest constraint K = 16 M.
+  for (const double load : {0.25, 0.5, 0.75}) {
+    for (const double m : {25.0, 100.0}) {
+      analysis::ProtocolModelConfig cfg;
+      cfg.offered_load = load;
+      cfg.message_length = m;
+      const auto service = analysis::service_distribution(
+          cfg, analysis::optimal_window_load());
+      const auto beta = analysis::refined_equilibrium(service, cfg.refine);
+      std::vector<double> right{0.0};
+      right.insert(right.end(), beta.begin(), beta.end());
+      const double rho = analysis::offered_intensity(service, cfg.lambda());
+      const auto len = static_cast<std::size_t>(16.0 * m) * cfg.refine + 1;
+      const std::string what =
+          "rho'=" + std::to_string(load) + " M=" + std::to_string(m);
+      expect_matches_oracle(beta, rho, len, what + " left");
+      expect_matches_oracle(right, rho, len, what + " right");
+    }
+  }
+}
+
+TEST(RenewalFunction, StepCounterCountsRunSteps) {
+  auto& registry = tcw::obs::Registry::global();
+  const tcw::obs::Counter solves = registry.counter("analysis.renewal_solves");
+  const tcw::obs::Counter steps = registry.counter("analysis.renewal_steps");
+  const std::uint64_t solves_before = solves.value();
+  const std::uint64_t steps_before = steps.value();
+  // Runs of beta[1..]: [1, 3], [4, 4], zeros dropped, [7, 7]. Each run
+  // [a, b] reaches the cells k = a..len-1: 9 + 6 + 3 steps at len = 10.
+  const std::vector<double> beta{0.5, 0.1, 0.1, 0.1, 0.2, 0.0, 0.0, 0.3};
+  analysis::renewal_function(beta, 0.5, 10);
+  EXPECT_EQ(solves.value() - solves_before, 1u);
+  EXPECT_EQ(steps.value() - steps_before, 18u);
 }
 
 TEST(WaitingCdf, IncreasesToOne) {
