@@ -72,6 +72,7 @@ ControlledLossPoint controlled_loss_at(const ProtocolModelConfig& cfg,
                                        double K, double initial_guess) {
   expect_valid(cfg);
   TCW_EXPECTS(std::isfinite(K) && K >= 0.0);
+  TCW_EXPECTS(!std::isnan(initial_guess));  // clamped into [0, 1] below
   const double lambda = cfg.lambda();
   TCW_EXPECTS(lambda > 0.0);
 

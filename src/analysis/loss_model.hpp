@@ -33,7 +33,8 @@ enum class SchedulingModel {
 /// Every entry point below rejects, with a ContractViolation, a load or
 /// length that is not finite and > 0, an overhead that is not finite and
 /// >= 0, a tolerance that is not finite and > 0, fewer than one fixpoint
-/// step, a zero lattice factor, and a K that is not finite and >= 0.
+/// step, a zero lattice factor, a K that is not finite and >= 0, and a
+/// NaN initial guess.
 struct ProtocolModelConfig {
   double offered_load = 0.5;      // rho' = lambda * M
   double message_length = 25.0;   // M in slots (must be integral)

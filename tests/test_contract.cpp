@@ -121,6 +121,18 @@ TEST(AnalyticContract, NonFiniteOrHugeKRejectedByLossModel) {
                tcw::ContractViolation);
 }
 
+TEST(AnalyticContract, NanInitialGuessRejected) {
+  // A NaN warm start used to survive the clamp: at K = 0 the fixpoint ran
+  // every iteration and returned p_loss = NaN.
+  const analysis::ProtocolModelConfig cfg;
+  for (const double K : {0.0, 50.0}) {
+    EXPECT_THROW(analysis::controlled_loss_at(cfg, K, kNan),
+                 tcw::ContractViolation)
+        << K;
+  }
+  EXPECT_NO_THROW(analysis::controlled_loss_at(cfg, 50.0, kInf));
+}
+
 TEST(AnalyticContract, LargeFiniteKStillEvaluates) {
   // Well inside the lattice bound the limit p -> 0 as K grows holds.
   const analysis::ProtocolModelConfig cfg;
