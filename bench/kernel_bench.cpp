@@ -80,8 +80,8 @@ std::string fingerprint(const SimMetrics& m) {
   append_stats(out, "wait", m.wait_all);
   append_stats(out, "waitd", m.wait_delivered);
   append_stats(out, "sched", m.scheduling);
-  append_stats(out, "proc", m.process_slots);
-  append_stats(out, "backlog", m.pseudo_backlog);
+  append_stats(out, "proc", m.process_slots.summary());
+  append_stats(out, "backlog", m.pseudo_backlog.summary());
   char buf[240];
   std::snprintf(buf, sizeof buf, " q:%a/%a/%a use:%a/%a/%a/%a",
                 m.wait_p50.value(), m.wait_p90.value(), m.wait_p99.value(),

@@ -34,6 +34,9 @@ struct ChannelConfig {
 class ChannelUsage {
  public:
   void add_idle_slot() { idle_ += 1.0; }
+  /// n idle slots at once: the same bits as n add_idle_slot calls, since
+  /// the total stays an integer-valued double below 2^53.
+  void add_idle_slots(std::uint64_t n) { idle_ += static_cast<double>(n); }
   void add_collision_slot() { collisions_ += 1.0; }
   void add_success(double message_length, double overhead) {
     payload_ += message_length;

@@ -49,6 +49,9 @@ AggregateSimulator::AggregateSimulator(
   // length, overhead or jitter turns the clock into NaN/inf and silently
   // truncates the run.
   TCW_EXPECTS(std::isfinite(config_.t_end));
+  // The quiescent skip counts post-warmup slots from ceil(warmup).
+  TCW_EXPECTS(std::isfinite(config_.warmup));
+  TCW_EXPECTS(config_.warmup >= 0.0);
   TCW_EXPECTS(config_.t_end > config_.warmup);
   TCW_EXPECTS(std::isfinite(config_.message_length));
   TCW_EXPECTS(config_.message_length >= 1.0);
@@ -56,6 +59,8 @@ AggregateSimulator::AggregateSimulator(
   TCW_EXPECTS(config_.success_overhead >= 0.0);
   TCW_EXPECTS(std::isfinite(config_.slot_jitter));
   TCW_EXPECTS(config_.slot_jitter >= 0.0);
+  TCW_EXPECTS(std::isfinite(config_.wait_hist_max));
+  TCW_EXPECTS(config_.wait_hist_max >= 0.0);
   const ChannelPlan& plan = config_.mac.channel;
   TCW_EXPECTS(plan.channels >= 1);
   TCW_EXPECTS(plan.skew >= 0.0 && plan.skew < 1.0);
@@ -326,24 +331,17 @@ bool AggregateSimulator::try_skip_quiescent(Lane& lane, std::size_t li) {
   if (config_.capture.series != nullptr) {
     config_.capture.series->add_idle_run(lane.now, stretch.slots, 0.0);
   }
-  // Replay the per-slot metric pattern exactly: the accumulators are
-  // Welford streams, so each slot's contribution is applied in sequence.
-  double t = lane.now;
-  for (std::uint64_t i = 0; i < stretch.slots; ++i, t += 1.0) {
-    metrics_.usage.add_idle_slot();
-    if (t >= config_.warmup) {
-      metrics_.pseudo_backlog.add(stretch.backlog);
-      metrics_.process_slots.add(1.0);
-    }
-  }
+  metrics_.add_quiescent_stretch(lane.now, stretch.slots, stretch.backlog,
+                                 config_.warmup);
+  const double end = lane.now + static_cast<double>(stretch.slots);
   lane.tally.probe_slots += stretch.slots;
   lane.tally.idle_slots += stretch.slots;
-  lane.engine->skip_quiescent(t - 1.0, stretch.slots);
+  lane.engine->skip_quiescent(end - 1.0, stretch.slots);
   // The per-slot path prunes the attribution spans at every slot's floor;
   // the floors only rise, so pruning at the last one is the same.
-  lane.collided_spans.erase_below(lane.engine->discard_floor(t - 1.0));
+  lane.collided_spans.erase_below(lane.engine->discard_floor(end - 1.0));
   skipped_slots_ += stretch.slots;
-  lane.now = t;
+  lane.now = end;
   return true;
 }
 

@@ -24,8 +24,10 @@
 // A lane with nothing pending and no process open asks its engine for a
 // quiescent-stretch certificate (ProtocolEngine::quiescent_until) and
 // fast-forwards every certified slot before the next arrival, t_end and
-// the next other-lane turn in one call, replaying the per-slot metrics
-// exactly. Traced, jittered and reference runs step every slot.
+// the next other-lane turn in one call, in O(1) work per stretch: its
+// metrics go in as runs (SimMetrics::add_quiescent_stretch), which the
+// run-length accumulators fold to the bits of the per-slot path. Traced,
+// jittered and reference runs step every slot.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +59,8 @@ struct AggregateConfig {
   double message_length = 25.0;   // M, slots
   double success_overhead = 1.0;  // extra slots per success
   double t_end = 200000.0;        // run length, slots
-  double warmup = 10000.0;        // arrivals before this are not counted
+  double warmup = 10000.0;        // arrivals before this are not counted;
+                                  // finite, >= 0
   std::uint64_t seed = 1;
   bool record_wait_histogram = false;
   /// Optional event trace; must outlive the simulator. Not owned.
@@ -69,7 +72,7 @@ struct AggregateConfig {
   /// slot synchronization / detection latency. 0 = the paper's ideal
   /// synchronous channel.
   double slot_jitter = 0.0;
-  double wait_hist_max = 0.0;     // 0 -> 2*deadline
+  double wait_hist_max = 0.0;     // 0 -> 2*deadline; finite, >= 0
   std::size_t wait_hist_bins = 64;
   /// Drive the pending-arrival bookkeeping through the retained seed-era
   /// std::set path instead of the flat chunked deque, stepping every slot
@@ -144,9 +147,9 @@ class AggregateSimulator {
   void step_lane(Lane& lane, std::uint32_t ch);
   /// When lane `li`'s engine certifies a quiescent stretch (see
   /// ProtocolEngine::quiescent_until) over slots no arrival, t_end or
-  /// other lane's turn interrupts, replay its per-slot metric pattern,
-  /// fast-forward the engine and return true; false leaves the lane
-  /// untouched (the caller steps the slot).
+  /// other lane's turn interrupts, record it in O(1), fast-forward the
+  /// engine and return true; false leaves the lane untouched (the caller
+  /// steps the slot).
   bool try_skip_quiescent(Lane& lane, std::size_t li);
   void purge_discarded(Lane& lane, std::uint32_t ch);
   void finalize();

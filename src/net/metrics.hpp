@@ -36,10 +36,13 @@ struct SimMetrics {
   sim::RunningStats scheduling;
 
   // Probe slots consumed per windowing process (incl. empty processes).
-  sim::RunningStats process_slots;
+  // Run-length buffered, so a quiescent stretch of n one-probe empty
+  // processes is recorded in O(1) with the bits of n single samples.
+  sim::RunLengthStats process_slots;
 
-  // Pseudo-time backlog sampled at each process start.
-  sim::RunningStats pseudo_backlog;
+  // Pseudo-time backlog sampled at each process start (run-length
+  // buffered like process_slots).
+  sim::RunLengthStats pseudo_backlog;
 
   // How channel time was spent.
   chan::ChannelUsage usage;
@@ -60,6 +63,13 @@ struct SimMetrics {
     return static_cast<double>(lost_sender + lost_receiver + censored_lost) /
            static_cast<double>(d);
   }
+
+  /// Record a certified quiescent stretch in O(1): `slots` idle slots from
+  /// the integer clock `start`, each an empty one-probe process started at
+  /// pseudo-time backlog `backlog`; the slots at or after `warmup` feed
+  /// pseudo_backlog and process_slots. The same bits as the per-slot path.
+  void add_quiescent_stretch(double start, std::uint64_t slots,
+                             double backlog, double warmup);
 
   /// Normal-approximation 95% half-width for p_loss (iid approximation;
   /// use replications for publication-grade intervals).

@@ -32,6 +32,7 @@ struct NetworkCounters {
   obs::Counter sender_discards;
   obs::Counter restamps;
   obs::Counter consistency_checks;
+  obs::Counter skipped_slots;
 };
 
 NetworkCounters& network_counters() {
@@ -44,6 +45,7 @@ NetworkCounters& network_counters() {
       obs::Registry::global().counter("net.network.sender_discards"),
       obs::Registry::global().counter("net.network.restamps"),
       obs::Registry::global().counter("net.network.consistency_checks"),
+      obs::Registry::global().counter("net.network.skipped_slots"),
   };
   return counters;
 }
@@ -62,6 +64,9 @@ Network::Network(const NetworkConfig& config)
   // length or overhead turns the clock into NaN/inf after the first
   // success and silently truncates the run.
   TCW_EXPECTS(std::isfinite(config_.t_end));
+  // The event-skip stepper counts post-warmup slots from ceil(warmup).
+  TCW_EXPECTS(std::isfinite(config_.warmup));
+  TCW_EXPECTS(config_.warmup >= 0.0);
   TCW_EXPECTS(config_.t_end > config_.warmup);
   TCW_EXPECTS(std::isfinite(config_.message_length));
   TCW_EXPECTS(config_.message_length >= 1.0);
@@ -445,33 +450,29 @@ bool Network::try_skip_quiescent(Lane& lane) {
     config_.capture.series->add_idle_run(lane.now, stretch.slots,
                                          stretch.backlog);
   }
-  // Replay the per-slot metric pattern of the stretch exactly: the
-  // accumulators are Welford streams, so each slot's contribution is
-  // applied in sequence (no closed form is bit-identical). This loop is a
-  // few flops per slot with no station, engine, or RNG work -- the whole
-  // point of the certificate.
-  double t = lane.now;
-  for (std::uint64_t i = 0; i < stretch.slots; ++i, t += 1.0) {
-    ++lane.tally.probe_slots;
-    ++lane.tally.idle_slots;
-    metrics_.usage.add_idle_slot();
-    if (t >= config_.warmup) {
-      metrics_.pseudo_backlog.add(stretch.backlog);
-      metrics_.process_slots.add(1.0);
-    }
-    if (config_.consistency_check_every != 0 &&
-        lane.tally.probe_slots % config_.consistency_check_every == 0) {
-      // Replicas are untouched during the replay, and honest replicas are
-      // bit-identical at every step, so comparing the pre-skip states at
-      // the due cadence reproduces the per-slot path's verdict and count.
+  metrics_.add_quiescent_stretch(lane.now, stretch.slots, stretch.backlog,
+                                 config_.warmup);
+  const std::uint64_t probes_before = lane.tally.probe_slots;
+  lane.tally.probe_slots += stretch.slots;
+  lane.tally.idle_slots += stretch.slots;
+  const std::size_t every = config_.consistency_check_every;
+  if (every != 0) {
+    // The per-slot path checks at every probe count divisible by `every`.
+    // The replicas are untouched during the stretch, so each due check
+    // compares the same states: run one and count the rest.
+    const std::uint64_t due =
+        lane.tally.probe_slots / every - probes_before / every;
+    if (due > 0) {
       check_consistency(lane);
+      checks_run_ += due - 1;
     }
   }
+  const double end = lane.now + static_cast<double>(stretch.slots);
   for (auto& engine : lane.engines) {
-    engine->skip_quiescent(t - 1.0, stretch.slots);
+    engine->skip_quiescent(end - 1.0, stretch.slots);
   }
   skipped_slots_ += stretch.slots;
-  lane.now = t;
+  lane.now = end;
   return true;
 }
 
@@ -787,6 +788,7 @@ void Network::finalize() {
   counters.sender_discards.add(total.sender_discards);
   counters.restamps.add(restamps_);
   counters.consistency_checks.add(checks_run_);
+  counters.skipped_slots.add(skipped_slots_);
 }
 
 }  // namespace tcw::net

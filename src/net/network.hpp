@@ -236,9 +236,10 @@ class Network {
   /// Time of the next undelivered batched arrival (refills as needed).
   double next_batched_arrival();
   /// Event-skip fast path (C = 1 only): with no active station, certify a
-  /// quiescent stretch across every replica, replay its per-slot metric
-  /// pattern exactly, and fast-forward the engines. Returns false when no
-  /// stretch is certified (the caller steps the slot normally).
+  /// quiescent stretch across every replica, record its metrics and due
+  /// consistency checks in O(1), and fast-forward the engines. Returns
+  /// false when no stretch is certified (the caller steps the slot
+  /// normally).
   bool try_skip_quiescent(Lane& lane);
   /// Generate the arrivals up to the lane's clock, then step one slot.
   void step_lane(Lane& lane, std::uint32_t ch);

@@ -17,6 +17,17 @@ void RunningStats::add(double x) {
   max_ = std::max(max_, x);
 }
 
+void RunningStats::add_run(double x, std::uint64_t n) {
+  if (n == 0) return;
+  RunningStats run;
+  run.n_ = n;
+  run.mean_ = x;
+  run.sum_ = x * static_cast<double>(n);
+  run.min_ = x;
+  run.max_ = x;
+  merge(run);
+}
+
 double RunningStats::mean() const { return n_ == 0 ? 0.0 : mean_; }
 
 double RunningStats::variance() const {
@@ -47,6 +58,22 @@ void RunningStats::merge(const RunningStats& other) {
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
+}
+
+void RunLengthStats::fold(RunningStats& stats, double x, std::uint64_t n) {
+  // NaNs never form a run: one add_run(NaN, n) call folds as n samples,
+  // as n add(NaN) calls do (a merge would also poison min and max).
+  if (n == 1 || std::isnan(x)) {
+    for (std::uint64_t i = 0; i < n; ++i) stats.add(x);
+  } else {
+    stats.add_run(x, n);
+  }
+}
+
+RunningStats RunLengthStats::summary() const {
+  RunningStats folded = stats_;
+  fold(folded, run_x_, run_n_);
+  return folded;
 }
 
 void TimeWeightedStats::update(double time, double value) {

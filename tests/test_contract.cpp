@@ -5,11 +5,15 @@
 #include <cstddef>
 #include <functional>
 #include <limits>
+#include <memory>
 
 #include "analysis/busy_period.hpp"
 #include "analysis/loss_model.hpp"
 #include "analysis/mg1.hpp"
+#include "chan/arrivals.hpp"
 #include "dist/families.hpp"
+#include "net/aggregate_sim.hpp"
+#include "net/network.hpp"
 
 namespace {
 
@@ -192,6 +196,50 @@ TEST(AnalyticContract, FixpointNeedsAtLeastOneIteration) {
 
 TEST(AnalyticContract, LatticeRefinementMustBePositive) {
   expect_config_rejected([](auto& c) { c.refine = 0; });
+}
+
+// The simulators' quiescent skip counts post-warmup slots from
+// ceil(warmup), so warmup must be a finite, nonnegative time.
+void expect_aggregate_rejected(
+    const std::function<void(tcw::net::AggregateConfig&)>& edit) {
+  tcw::net::AggregateConfig cfg;
+  edit(cfg);
+  EXPECT_THROW(tcw::net::AggregateSimulator(
+                   cfg, std::make_unique<tcw::chan::PoissonProcess>(0.01)),
+               tcw::ContractViolation);
+}
+
+TEST(SimContract, WarmupMustBeFiniteNonnegative) {
+  for (const double v : {kNan, kInf, -kInf, -1.0}) {
+    expect_aggregate_rejected([v](auto& c) { c.warmup = v; });
+    tcw::net::NetworkConfig cfg;
+    cfg.warmup = v;
+    EXPECT_THROW(tcw::net::Network{cfg}, tcw::ContractViolation);
+  }
+  tcw::net::AggregateConfig agg;
+  agg.warmup = 0.0;
+  EXPECT_NO_THROW(tcw::net::AggregateSimulator(
+      agg, std::make_unique<tcw::chan::PoissonProcess>(0.01)));
+  tcw::net::NetworkConfig net;
+  net.warmup = 0.0;
+  EXPECT_NO_THROW(tcw::net::Network{net});
+}
+
+TEST(SimContract, WaitHistogramMaxMustBeFiniteNonnegative) {
+  // A NaN maximum used to fall back silently to 2K.
+  for (const bool record : {false, true}) {
+    for (const double v : {kNan, kInf, -1.0}) {
+      expect_aggregate_rejected([v, record](auto& c) {
+        c.record_wait_histogram = record;
+        c.wait_hist_max = v;
+      });
+    }
+  }
+  tcw::net::AggregateConfig cfg;
+  cfg.record_wait_histogram = true;
+  cfg.wait_hist_max = 0.0;  // 0 still means 2K
+  EXPECT_NO_THROW(tcw::net::AggregateSimulator(
+      cfg, std::make_unique<tcw::chan::PoissonProcess>(0.01)));
 }
 
 }  // namespace

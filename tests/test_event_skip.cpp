@@ -8,12 +8,14 @@
 // tier-1 TSan filter in scripts/tier1.sh.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <string>
 
 #include "analysis/splitting.hpp"
 #include "net/network.hpp"
+#include "obs/registry.hpp"
 #include "sim/rng.hpp"
 #include "sim/sampling.hpp"
 #include "util/contract.hpp"
@@ -43,8 +45,8 @@ std::string fingerprint(const SimMetrics& m) {
   append_stats(out, m.wait_all);
   append_stats(out, m.wait_delivered);
   append_stats(out, m.scheduling);
-  append_stats(out, m.process_slots);
-  append_stats(out, m.pseudo_backlog);
+  append_stats(out, m.process_slots.summary());
+  append_stats(out, m.pseudo_backlog.summary());
   char buf[240];
   std::snprintf(buf, sizeof buf, " q:%a/%a/%a u:%a/%a/%a/%a",
                 m.wait_p50.value(), m.wait_p90.value(), m.wait_p99.value(),
@@ -87,9 +89,9 @@ NetworkConfig make_config(const Cell& cell, bool event_skip) {
 }
 
 // Runs the cell through both steppers and asserts bit-identity of the
-// full metric set plus the bookkeeping the skip path replays (probe
-// steps, consistency checks and their verdict). Returns the skipped-slot
-// count so callers can assert the fast path actually engaged.
+// full metric set plus the bookkeeping the skip path records in closed
+// form (probe steps, consistency checks and their verdict). Returns the
+// skipped-slot count so callers can assert the fast path actually engaged.
 std::uint64_t expect_conformant(const Cell& cell) {
   const double lambda = cell.rho / cell.message_length;
   auto fast = Network::homogeneous_poisson_batched(
@@ -112,7 +114,7 @@ std::uint64_t expect_conformant(const Cell& cell) {
   EXPECT_TRUE(skip.stations_consistent()) << label;
   EXPECT_EQ(fast.skipped_slots(), 0u) << label;
   // Fate buckets partition the arrivals under both steppers (discard
-  // accounting survives the replay).
+  // accounting survives the skip).
   EXPECT_EQ(sm.arrivals, sm.delivered + sm.lost_sender + sm.lost_receiver +
                              sm.censored_lost + sm.pending_at_end)
       << label;
@@ -173,9 +175,61 @@ TEST(EventSkip, WarmupBoundaryInsideSkippedStretch) {
   }
 }
 
+TEST(EventSkip, WarmupInsideStretchCountsEveryProcessStart) {
+  // With (practically) no arrivals every slot is a one-probe empty
+  // process inside one certified stretch, so t_end - ceil(warmup) process
+  // starts follow the warmup, under both steppers. Consistency checks fall
+  // due many times per stretch at these cadences.
+  for (const double warmup : {1000.0, 1000.5}) {
+    for (const std::size_t every : {std::size_t{1}, std::size_t{7}}) {
+      Cell cell;
+      cell.stations = 30;
+      cell.rho = 1e-9;
+      cell.t_end = 5000.0;
+      cell.warmup = warmup;
+      cell.check_every = every;
+      const double lambda = cell.rho / cell.message_length;
+      for (const bool event_skip : {false, true}) {
+        auto net = Network::homogeneous_poisson_batched(
+            make_config(cell, event_skip), cell.stations, lambda);
+        const SimMetrics& m = net.run();
+        const auto starts =
+            static_cast<std::uint64_t>(cell.t_end - std::ceil(warmup));
+        EXPECT_EQ(m.pseudo_backlog.count(), starts)
+            << "warmup=" << warmup << " skip=" << event_skip;
+        EXPECT_EQ(m.process_slots.count(), starts);
+        EXPECT_EQ(net.consistency_checks_run(),
+                  static_cast<std::uint64_t>(cell.t_end) / every + 1);
+      }
+      EXPECT_GT(expect_conformant(cell), 0u);
+      // The same warmups under load, where the cutoff lands inside one of
+      // many stretches.
+      cell.rho = 0.25;
+      cell.t_end = 15000.0;
+      cell.seed = 3;
+      EXPECT_GT(expect_conformant(cell), 0u);
+    }
+  }
+}
+
+TEST(EventSkip, SkippedSlotsReachTheRegistry) {
+  const tcw::obs::Counter counter =
+      tcw::obs::Registry::global().counter("net.network.skipped_slots");
+  const std::uint64_t before = counter.value();
+  Cell cell;
+  cell.stations = 200;
+  cell.rho = 0.25;
+  NetworkConfig cfg = make_config(cell, true);
+  auto net = Network::homogeneous_poisson_batched(
+      cfg, cell.stations, cell.rho / cell.message_length);
+  net.run();
+  EXPECT_GT(net.skipped_slots(), 0u);
+  EXPECT_EQ(counter.value() - before, net.skipped_slots());
+}
+
 TEST(EventSkip, SenderDiscardAccountingTightDeadline) {
   // A tight fractional deadline forces sender discards (element 4); the
-  // replayed stretches must leave every fate bucket identical. K < 1
+  // skipped stretches must leave every fate bucket identical. K < 1
   // additionally keeps the window engine off the certificate orbit, so
   // this also covers the skip==0 fallback for the window engine while
   // the aloha engines still certify.
@@ -197,7 +251,7 @@ TEST(EventSkip, FractionalSlotTimesStayConformant) {
   // on half-slots. Certificates require an integral `now`, so stretches
   // are only certified at instants where the closed-form jump is exact
   // (e.g. after an even number of transmissions) -- the kernel may still
-  // skip there, and wherever it does the replay must stay bit-identical.
+  // skip there, and wherever it does the result must stay bit-identical.
   Cell cell;
   cell.stations = 40;
   cell.rho = 0.4;

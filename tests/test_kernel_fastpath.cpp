@@ -6,6 +6,7 @@
 // are targeted by the tier-1 TSan filter in scripts/tier1.sh.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -47,8 +48,8 @@ std::string fingerprint(const SimMetrics& m) {
   append_stats(out, m.wait_all);
   append_stats(out, m.wait_delivered);
   append_stats(out, m.scheduling);
-  append_stats(out, m.process_slots);
-  append_stats(out, m.pseudo_backlog);
+  append_stats(out, m.process_slots.summary());
+  append_stats(out, m.pseudo_backlog.summary());
   char buf[240];
   std::snprintf(buf, sizeof buf, " q:%a/%a/%a u:%a/%a/%a/%a",
                 m.wait_p50.value(), m.wait_p90.value(), m.wait_p99.value(),
@@ -258,6 +259,51 @@ TEST(AggregateKernel, QuiescentSkipKeepsProbeCountOfReference) {
   EXPECT_EQ(ref->skipped_slots(), 0u);
   EXPECT_EQ(fast->probe_steps(), ref->probe_steps());
   EXPECT_EQ(fingerprint(fast->metrics()), fingerprint(ref->metrics()));
+}
+
+// Warmup cutoffs inside a certified quiescent stretch, integer and
+// fractional: the fast kernel records the stretch's post-warmup slots as
+// one run, the reference steps them one by one, and the two agree bit for
+// bit. With no arrivals at all every slot is a one-probe empty process,
+// so exactly t_end - ceil(warmup) process starts follow the warmup.
+TEST(KernelWarmupEdge, AggregateWarmupInsideQuiescentStretch) {
+  const double lambda = 0.25 / 25.0;
+  for (const double warmup : {1000.0, 1000.5, 1003.25}) {
+    const auto run = [&](bool reference, bool silent) {
+      AggregateConfig cfg;
+      cfg.policy = ControlPolicy::optimal(
+          50.0, tcw::analysis::optimal_window_load() / lambda);
+      cfg.t_end = silent ? 5000.0 : 20000.0;
+      cfg.warmup = warmup;
+      cfg.seed = 5;
+      cfg.reference_kernel = reference;
+      std::unique_ptr<ArrivalProcess> arrivals;
+      if (silent) {
+        arrivals = std::make_unique<ScriptedProcess>(std::vector<double>{});
+      } else {
+        arrivals = std::make_unique<PoissonProcess>(lambda);
+      }
+      auto sim = std::make_unique<AggregateSimulator>(cfg, std::move(arrivals));
+      sim->run();
+      return sim;
+    };
+    for (const bool silent : {false, true}) {
+      const auto fast = run(false, silent);
+      const auto ref = run(true, silent);
+      const std::string label = "warmup=" + std::to_string(warmup) +
+                                " silent=" + std::to_string(silent);
+      EXPECT_GT(fast->skipped_slots(), 0u) << label;
+      EXPECT_EQ(fast->probe_steps(), ref->probe_steps()) << label;
+      EXPECT_EQ(fingerprint(fast->metrics()), fingerprint(ref->metrics()))
+          << label;
+      if (silent) {
+        const auto starts =
+            static_cast<std::uint64_t>(5000.0 - std::ceil(warmup));
+        EXPECT_EQ(fast->metrics().pseudo_backlog.count(), starts) << label;
+        EXPECT_EQ(ref->metrics().pseudo_backlog.count(), starts) << label;
+      }
+    }
+  }
 }
 
 // A message arriving exactly at `warmup` must be counted as an arrival and

@@ -52,7 +52,7 @@ std::string fingerprint(const net::SimMetrics& m) {
       << " cen:" << m.censored_lost << " pend:" << m.pending_at_end;
   append_stats(out, "wait", m.wait_all);
   append_stats(out, "sched", m.scheduling);
-  append_stats(out, "proc", m.process_slots);
+  append_stats(out, "proc", m.process_slots.summary());
   char buf[240];
   std::snprintf(buf, sizeof buf, " use:%a/%a/%a/%a", m.usage.idle_slots(),
                 m.usage.collision_slots(), m.usage.payload_slots(),

@@ -185,8 +185,8 @@ std::string fingerprint(const SimMetrics& m) {
   append_stats(out, "wait", m.wait_all);
   append_stats(out, "waitd", m.wait_delivered);
   append_stats(out, "sched", m.scheduling);
-  append_stats(out, "proc", m.process_slots);
-  append_stats(out, "backlog", m.pseudo_backlog);
+  append_stats(out, "proc", m.process_slots.summary());
+  append_stats(out, "backlog", m.pseudo_backlog.summary());
   char buf[240];
   std::snprintf(buf, sizeof buf, " q:%a/%a/%a use:%a/%a/%a/%a",
                 m.wait_p50.value(), m.wait_p90.value(), m.wait_p99.value(),
@@ -215,8 +215,8 @@ TEST(SeedStreams, GoldenSmallNFingerprints) {
        " waitd:226/0x1.a2be1ba40ecc5p+3/0x1.71abd466d5106p+11/0x1.8d38e5eep-8"
        "/0x1.1ea79c7d3902p+6"
        " sched:226/0x1.00ea8cc37a6f6p-1/0x1.c59e2089242dp+6/0x0p+0/0x1p+2"
-       " proc:5311/0x1.02f0b852e83b4p+0/0x1.4fcp+12/0x1p+0/0x1.4p+2"
-       " backlog:5311/0x1.179a62fad7cacp+1/0x1.6a8abeb7202f8p+13/0x1p+0"
+       " proc:5311/0x1.02f0b852e83c8p+0/0x1.4fcp+12/0x1p+0/0x1.4p+2"
+       " backlog:5311/0x1.179a62fad7cc1p+1/0x1.6a8abeb7202f8p+13/0x1p+0"
        "/0x1.0b4p+6"
        " q:0x1.39b52fbb4bf49p+2/0x1.20ce821a1b84dp+5/0x1.bedfa8058075ap+5"
        " use:0x1.67ap+12/0x1.bp+5/0x1.757p+12/0x1.dep+7"},
@@ -227,8 +227,8 @@ TEST(SeedStreams, GoldenSmallNFingerprints) {
        " waitd:309/0x1.2d14c551ae314p+4/0x1.6b6a122b97417p+12/0x1.e52d3426p-7"
        "/0x1.8d2f1fcb4dfp+5"
        " sched:315/0x1.f554409d0e928p-1/0x1.346f55c0a0774p+8/0x0p+0/0x1.cp+2"
-       " proc:2877/0x1.15fa7baf34694p+0/0x1.868p+11/0x1p+0/0x1p+3"
-       " backlog:2877/0x1.40ec28ee99929p+2/0x1.c2d3c1002e7cdp+13/0x1p+0"
+       " proc:2877/0x1.15fa7baf3468fp+0/0x1.868p+11/0x1p+0/0x1p+3"
+       " backlog:2877/0x1.40ec28ee9992dp+2/0x1.c2d3c1002e7cdp+13/0x1p+0"
        "/0x1.9p+5"
        " q:0x1.21dedfda95146p+4/0x1.5f33c441a2913p+5/0x1.964c46e0f54eap+5"
        " use:0x1.714p+11/0x1.b6p+7/0x1.09ap+13/0x1.54p+8"},
@@ -251,7 +251,7 @@ TEST(SeedStreams, GoldenSmallNFingerprints) {
        "/0x1.2110606eb8cp+6"
        " sched:136/0x1.e459b195dcda6p-2/0x1.014fa6579d54p+6/0x0p+0/0x1.8p+1"
        " proc:7614/0x1p+0/0x1.dbep+12/0x1p+0/0x1p+0"
-       " backlog:7624/0x1.70d998e7c400dp-6/0x1.5746828db2304p+7"
+       " backlog:7624/0x1.70d998e7c4006p-6/0x1.5746828db229ap+7"
        "/0x1.89374bc6a7efap-7/0x1.eb16cf16871c4p+1"
        " q:0x1.8963ef5dc103ap-1/0x1.78bc6e2370135p+4/0x1.694ea7c354aa6p+5"
        " use:0x1.04ep+13/0x1.4p+3/0x1.b8ap+11/0x1.1ap+7"},

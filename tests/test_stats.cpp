@@ -2,14 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "sim/rng.hpp"
+#include "sim/sampling.hpp"
 #include "util/contract.hpp"
 
 namespace {
 
 using tcw::sim::RatioCounter;
+using tcw::sim::RunLengthStats;
 using tcw::sim::RunningStats;
 using tcw::sim::TimeWeightedStats;
 
@@ -86,6 +94,136 @@ TEST(RunningStats, CiShrinksWithSamples) {
   for (int i = 0; i < 10; ++i) small.add(i % 3);
   for (int i = 0; i < 1000; ++i) large.add(i % 3);
   EXPECT_GT(small.ci95_halfwidth(), large.ci95_halfwidth());
+}
+
+// Every field a summary reports, as exact hex (and nan/-nan) text.
+std::string bits(const RunningStats& s) {
+  char buf[200];
+  std::snprintf(buf, sizeof buf, "%llu/%a/%a/%a/%a/%a",
+                static_cast<unsigned long long>(s.count()), s.mean(), s.sum(),
+                s.variance(), s.min(), s.max());
+  return buf;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// A stream of runs of equal values, some long, drawn from a palette that
+// includes both zeros and a NaN.
+std::vector<double> run_stream(tcw::sim::Rng& gen,
+                               const std::vector<double>& palette) {
+  std::vector<double> out;
+  for (int r = 0; r < 300; ++r) {
+    const double x = palette[tcw::sim::uniform_index(gen, palette.size())];
+    const std::uint64_t len = tcw::sim::uniform_index(gen, 4) == 0
+                                  ? 200 + tcw::sim::uniform_index(gen, 2000)
+                                  : 1 + tcw::sim::uniform_index(gen, 5);
+    out.insert(out.end(), len, x);
+  }
+  return out;
+}
+
+TEST(RunLengthStats, SummaryIgnoresHowTheStreamIsBatched) {
+  tcw::sim::Rng gen(0x5A11u);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // A NaN turns mean, sum and variance into NaN for good, so the finite
+  // palette is what pins the folding; the second one adds a NaN run.
+  for (const std::vector<double>& palette :
+       {std::vector<double>{0.0, -0.0, 1.0, 2.5, 1.0 / 3.0, -7.25, 1e9 + 0.1},
+        std::vector<double>{0.0, -0.0, 1.0 / 3.0, -7.25, nan}}) {
+    const std::vector<double> stream = run_stream(gen, palette);
+    RunLengthStats one_by_one;
+    for (const double x : stream) one_by_one.add(x);
+    const std::string want = bits(one_by_one.summary());
+    for (int trial = 0; trial < 25; ++trial) {
+      RunLengthStats batched;
+      std::size_t i = 0;
+      while (i < stream.size()) {
+        // Batch a random prefix of the equal-bits run starting at i.
+        std::size_t run = 1;
+        while (i + run < stream.size() &&
+               same_bits(stream[i + run], stream[i])) {
+          ++run;
+        }
+        const std::size_t n = 1 + tcw::sim::uniform_index(gen, run);
+        switch (tcw::sim::uniform_index(gen, 3)) {
+          case 0:
+            batched.add_run(stream[i], n);
+            break;
+          case 1:
+            for (std::size_t j = 0; j < n; ++j) batched.add(stream[i]);
+            break;
+          default:
+            batched.add_run(stream[i], 0);  // a no-op
+            batched.add(stream[i]);
+            batched.add_run(stream[i], n - 1);
+            break;
+        }
+        i += n;
+        // Reading a summary mid-stream must not disturb the buffer.
+        if (tcw::sim::uniform_index(gen, 8) == 0) (void)batched.summary();
+      }
+      EXPECT_EQ(bits(batched.summary()), want) << "trial " << trial;
+      EXPECT_EQ(batched.count(), stream.size());
+    }
+  }
+}
+
+TEST(RunLengthStats, AgreesWithPlainAddsOnIntegerRuns) {
+  tcw::sim::Rng gen(0x1E7u);
+  const std::vector<double> stream =
+      run_stream(gen, {0.0, 1.0, 2.0, 3.0, 5.0, 40.0, -12.0, 1e6});
+  RunLengthStats runs;
+  RunningStats plain;
+  for (const double x : stream) {
+    runs.add(x);
+    plain.add(x);
+  }
+  const RunningStats got = runs.summary();
+  EXPECT_EQ(got.count(), plain.count());
+  EXPECT_EQ(got.sum(), plain.sum());
+  EXPECT_EQ(got.min(), plain.min());
+  EXPECT_EQ(got.max(), plain.max());
+  EXPECT_NEAR(got.mean(), plain.mean(), 1e-12 * std::fabs(plain.mean()));
+  EXPECT_NEAR(got.variance(), plain.variance(),
+              1e-12 * std::fabs(plain.variance()));
+  EXPECT_EQ(runs.count(), plain.count());
+  EXPECT_EQ(runs.mean(), got.mean());
+}
+
+TEST(RunLengthStats, StreamWithoutRepeatsFoldsLikePlainAdds) {
+  // Alternating zeros and repeated NaNs never coalesce, so every sample
+  // is folded by RunningStats::add.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::vector<double>& stream :
+       {std::vector<double>{0.0, -0.0, 0.0, -0.0, 3.5, -0.0, 0.0},
+        std::vector<double>{1.0, nan, nan, nan, 2.0},
+        std::vector<double>{nan, nan, 4.0, 4.5, 4.0}}) {
+    RunLengthStats runs;
+    RunningStats plain;
+    for (const double x : stream) {
+      runs.add(x);
+      plain.add(x);
+    }
+    EXPECT_EQ(bits(runs.summary()), bits(plain));
+  }
+}
+
+TEST(RunningStats, AddRunOfNEqualSamples) {
+  RunningStats s;
+  s.add_run(2.0, 0);
+  EXPECT_EQ(s.count(), 0u);
+  s.add_run(2.0, 3);
+  s.add(6.0);
+  s.add_run(6.0, 4);
+  EXPECT_EQ(s.count(), 8u);
+  EXPECT_EQ(s.sum(), 36.0);
+  EXPECT_DOUBLE_EQ(s.mean(), 4.5);
+  // Three 2s and five 6s around the mean 4.5: m2 = 3 * 2.5^2 + 5 * 1.5^2.
+  EXPECT_DOUBLE_EQ(s.variance(), (3 * 6.25 + 5 * 2.25) / 7.0);
+  EXPECT_EQ(s.min(), 2.0);
+  EXPECT_EQ(s.max(), 6.0);
 }
 
 TEST(TimeWeighted, ConstantSignal) {
